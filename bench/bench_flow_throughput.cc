@@ -9,9 +9,12 @@
 //   source_pipe         - 1 producer -> 1 consumer (the source->assembler
 //                         edge: one channel, no routing).
 //   join_parallel_cells - p producers -> p consumers, hash-routed with
-//                         periodic watermark broadcasts (the Fig. 5
-//                         allocate->query CellMsg shuffle, the pipeline's
-//                         highest-volume exchange).
+//                         periodic watermark broadcasts: a synthetic
+//                         all-to-all shuffle of small fixed-size payloads,
+//                         the shape of the pipeline's cluster->enumerate
+//                         edge at a far higher element rate. Independent
+//                         of the engine; the name is kept so the rows stay
+//                         comparable with BENCH_flow_throughput.json.
 //
 // Output: a human-readable table on stdout and machine-readable JSON (one
 // row object per line) for scripts/bench_smoke.sh, default
@@ -48,8 +51,8 @@
 namespace comove::bench {
 namespace {
 
-/// Payload mirroring the engine's CellMsg (timestamp + replicated grid
-/// object), so the measured per-element cost matches the real shuffle.
+/// Shuffle payload: a timestamp plus one grid object, a
+/// realistic small-element size for the per-element transfer cost.
 struct CellPayload {
   Timestamp time = 0;
   cluster::GridObject object;

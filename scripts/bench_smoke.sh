@@ -7,7 +7,7 @@
 # on a loaded machine cannot flip the verdict while a real regression
 # (which drags every row) still does. Two headline floors on top:
 #   - batching must pay for itself (batch 64 >= 1.5x batch 1 on the
-#     join_parallel_cells p=4 shuffle);
+#     synthetic join_parallel_cells p=4 shuffle);
 #   - the sweep kernel must beat the R-tree kernel by >= 3.0x at the
 #     paper-default geometry (eps_rel=0.375, opc=64);
 #   - checkpointing at interval=100 must cost <= 5% end-to-end throughput
@@ -25,11 +25,13 @@
 #     naive replica for FBA on bench_enumerator's enumeration-bound
 #     m4/k18/l3/g3/opc32 config (within the current run).
 #
-# The transport rows (bench_fig14_scale_nodes --out, BENCH_transport.json)
-# are split: the "threads" deployment rows join the geomean gate like any
-# other workload, but the "unix"/"tcp" multi-process rows are REPORTED
-# ONLY - loopback socket throughput swings with kernel and scheduler mood
-# far beyond the 20% band, so regressing the build on it would be noise.
+# The checkpoint rows only report drift against their baseline; their
+# gate is the within-run overhead floor above. The transport rows
+# (bench_fig14_scale_nodes --out, BENCH_transport.json) are split: the
+# "threads" deployment rows join the geomean gate like any other
+# workload, but the "unix"/"tcp" multi-process rows are REPORTED ONLY -
+# loopback socket throughput swings with kernel and scheduler mood far
+# beyond the 20% band, so regressing the build on it would be noise.
 #
 # The baselines are machine-specific; regenerate them on your hardware with
 #   build-release/bench/bench_flow_throughput --out BENCH_flow_throughput.json
@@ -47,406 +49,150 @@ BUILD_DIR="${1:-build-release}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 
-BASELINE="BENCH_flow_throughput.json"
-CURRENT="BENCH_flow_throughput.tmp.json"
-KERNEL_BASELINE="BENCH_join_kernel.json"
-KERNEL_CURRENT="BENCH_join_kernel.tmp.json"
-CKPT_BASELINE="BENCH_checkpoint.json"
-CKPT_CURRENT="BENCH_checkpoint.tmp.json"
-INCR_BASELINE="BENCH_incremental.json"
-INCR_CURRENT="BENCH_incremental.tmp.json"
-ENUM_BASELINE="BENCH_enum.json"
-ENUM_CURRENT="BENCH_enum.tmp.json"
-TRANS_BASELINE="BENCH_transport.json"
-TRANS_CURRENT="BENCH_transport.tmp.json"
-
-if [ ! -f "$BASELINE" ]; then
-  echo "missing baseline $BASELINE" >&2
-  exit 1
-fi
-if [ ! -f "$KERNEL_BASELINE" ]; then
-  echo "missing baseline $KERNEL_BASELINE" >&2
-  exit 1
-fi
-if [ ! -f "$CKPT_BASELINE" ]; then
-  echo "missing baseline $CKPT_BASELINE" >&2
-  exit 1
-fi
-if [ ! -f "$INCR_BASELINE" ]; then
-  echo "missing baseline $INCR_BASELINE" >&2
-  exit 1
-fi
-if [ ! -f "$ENUM_BASELINE" ]; then
-  echo "missing baseline $ENUM_BASELINE" >&2
-  exit 1
-fi
-if [ ! -f "$TRANS_BASELINE" ]; then
-  echo "missing baseline $TRANS_BASELINE" >&2
-  exit 1
-fi
+BENCHES=(flow_throughput join_kernel checkpoint incremental enum transport)
+for bench in "${BENCHES[@]}"; do
+  if [ ! -f "BENCH_$bench.json" ]; then
+    echo "missing baseline BENCH_$bench.json" >&2
+    exit 1
+  fi
+done
 
 cmake -B "$BUILD_DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target bench_flow_throughput bench_join_kernel bench_checkpoint \
   bench_incremental bench_enumerator bench_fig14_scale_nodes
 
-"$BUILD_DIR/bench/bench_flow_throughput" --out "$CURRENT"
-"$BUILD_DIR/bench/bench_join_kernel" --out "$KERNEL_CURRENT"
-"$BUILD_DIR/bench/bench_checkpoint" --out "$CKPT_CURRENT"
-"$BUILD_DIR/bench/bench_incremental" --out "$INCR_CURRENT"
-"$BUILD_DIR/bench/bench_enumerator" --out "$ENUM_CURRENT"
-"$BUILD_DIR/bench/bench_fig14_scale_nodes" --out "$TRANS_CURRENT"
+"$BUILD_DIR/bench/bench_flow_throughput" --out BENCH_flow_throughput.tmp.json
+"$BUILD_DIR/bench/bench_join_kernel" --out BENCH_join_kernel.tmp.json
+"$BUILD_DIR/bench/bench_checkpoint" --out BENCH_checkpoint.tmp.json
+"$BUILD_DIR/bench/bench_incremental" --out BENCH_incremental.tmp.json
+"$BUILD_DIR/bench/bench_enumerator" --out BENCH_enum.tmp.json
+"$BUILD_DIR/bench/bench_fig14_scale_nodes" --out BENCH_transport.tmp.json
 
-# Each JSON file holds one row object per line:
-#   {"workload": "...", "parallelism": P, "batch": B, "records_per_sec": R}
-# Join current against baseline on (workload, parallelism, batch), then
-# gate on the geometric mean of the ratios plus the amortisation floor.
-status=0
-awk '
-  function field(line, name,    rest) {
-    rest = line
-    sub(".*\"" name "\": *", "", rest)
-    sub("[,}].*", "", rest)
-    gsub("\"", "", rest)
-    return rest
-  }
-  {
-    key = field($0, "workload") "/p" field($0, "parallelism") \
-          "/b" field($0, "batch")
-    if ($0 ~ /"mode"/) key = key "/" field($0, "mode")
-    rate = field($0, "records_per_sec") + 0
-    if (NR == FNR) { baseline[key] = rate; next }
-    current[key] = rate
-    if (!(key in baseline)) {
-      printf "NEW  %-40s %12.0f rec/s (no baseline)\n", key, rate
-      next
+# The one baseline comparer. Every BENCH_<name>.json holds one row object
+# per line, e.g.
+#   {"workload": "checkpoint", "parallelism": 1, "interval": 100,
+#    "snapshots_per_sec": 7364, ...}
+# Rows of BENCH_<name>.json (baseline) and BENCH_<name>.tmp.json (this
+# run) are joined on a key built from KEYSPEC: space-separated
+# FIELD[:PREFIX] tokens joined by "/", fields absent from a row skipped
+# (so "parallelism:p interval:i" gives "p1/i100"). Rows whose key matches
+# the GATED regex join a geometric-mean gate (fail below 0.8x; an empty
+# regex gates nothing). Each FLOOR "NUM|DEN|MIN|LABEL" compares two rows
+# of THIS run (machine-neutral) and fails when NUM/DEN < MIN; MIN 0 only
+# reports the ratio.
+#
+# Usage: compare NAME RATE_FIELD KEYSPEC GATED [FLOOR...]
+compare() {
+  local name=$1 rate=$2 keyspec=$3 gated=$4
+  shift 4
+  local floors=""
+  if [ "$#" -gt 0 ]; then floors=$(printf '%s;' "$@"); fi
+  awk -v name="$name" -v rate_field="$rate" -v keyspec="$keyspec" \
+      -v gated="$gated" -v floors="$floors" '
+    function field(line, f,    rest) {
+      rest = line
+      sub(".*\"" f "\": *", "", rest)
+      sub("[,}].*", "", rest)
+      gsub("\"", "", rest)
+      return rest
     }
-    ratio = rate / baseline[key]
-    verdict = (ratio >= 0.8) ? "ok  " : "low "
-    log_sum += log(ratio)
-    rows += 1
-    printf "%s %-40s %12.0f rec/s  baseline %12.0f  (%.2fx)\n", \
-           verdict, key, rate, baseline[key], ratio
-    if (key == "join_parallel_cells/p4/b1") base_p4 = rate
-    if (key == "join_parallel_cells/p4/b64") batched_p4 = rate
-  }
-  END {
-    if (rows == 0) { print "FAIL: no comparable rows"; exit 1 }
-    geomean = exp(log_sum / rows)
-    printf "geometric-mean throughput ratio over %d rows = %.2fx\n", \
-           rows, geomean
-    if (geomean < 0.8) {
-      print "FAIL: throughput regressed more than 20% overall"
-      failed = 1
-    }
-    if (base_p4 > 0) {
-      speedup = batched_p4 / base_p4
-      printf "join_parallel_cells p=4 batch64/batch1 = %.2fx\n", speedup
-      if (speedup < 1.5) {
-        print "FAIL: batching speedup below 1.5x"
-        failed = 1
+    function key_of(line,    n, i, tokens, tok, key) {
+      n = split(keyspec, tokens, " ")
+      key = ""
+      for (i = 1; i <= n; i++) {
+        split(tokens[i], tok, ":")
+        if (index(line, "\"" tok[1] "\"") == 0) continue
+        key = key (key == "" ? "" : "/") tok[2] field(line, tok[1])
       }
+      return key
     }
-    # Tracing overhead, paired WITHIN the current run (see bench header).
-    ref = current["trace_overhead/p4/b64/ref"]
-    off = current["trace_overhead/p4/b64/off"]
-    on = current["trace_overhead/p4/b64/on"]
-    if (ref <= 0 || off <= 0 || on <= 0) {
-      print "FAIL: missing trace_overhead rows"
-      failed = 1
-    } else {
-      printf "trace_overhead off/ref = %.3f, on/off = %.3f\n", \
-             off / ref, on / off
-      if (off / ref < 0.99) {
-        print "FAIL: disabled tracing costs more than 1% on the shuffle"
-        failed = 1
+    {
+      key = key_of($0)
+      rate = field($0, rate_field) + 0
+      if (NR == FNR) { baseline[key] = rate; next }
+      current[key] = rate
+      seen += 1
+      if (!(key in baseline)) {
+        printf "NEW  %s/%-36s %12.0f (no baseline)\n", name, key, rate
+        next
       }
-      if (on / off < 0.95) {
-        print "FAIL: enabled tracing costs more than 5% on the shuffle"
-        failed = 1
-      }
-    }
-    exit failed
-  }
-' "$BASELINE" "$CURRENT" || status=1
-
-# Same shape for the join kernel rows:
-#   {"workload": "join_kernel", "kernel": K, "eps_rel": E, "opc": O,
-#    "pairs": P, "pairs_per_sec": R}
-# keyed on (kernel, eps_rel, opc), with the sweep-vs-rtree headline floor
-# at the paper-default geometry.
-awk '
-  function field(line, name,    rest) {
-    rest = line
-    sub(".*\"" name "\": *", "", rest)
-    sub("[,}].*", "", rest)
-    gsub("\"", "", rest)
-    return rest
-  }
-  {
-    key = field($0, "kernel") "/eps" field($0, "eps_rel") \
-          "/opc" field($0, "opc")
-    rate = field($0, "pairs_per_sec") + 0
-    if (NR == FNR) { baseline[key] = rate; next }
-    if (!(key in baseline)) {
-      printf "NEW  %-40s %12.0f pairs/s (no baseline)\n", key, rate
-      next
-    }
-    ratio = rate / baseline[key]
-    verdict = (ratio >= 0.8) ? "ok  " : "low "
-    log_sum += log(ratio)
-    rows += 1
-    printf "%s %-40s %12.0f pairs/s  baseline %12.0f  (%.2fx)\n", \
-           verdict, key, rate, baseline[key], ratio
-    if (key == "rtree/eps0.375/opc64") rtree_default = rate
-    if (key == "sweep/eps0.375/opc64") sweep_default = rate
-  }
-  END {
-    if (rows == 0) { print "FAIL: no comparable join_kernel rows"; exit 1 }
-    geomean = exp(log_sum / rows)
-    printf "geometric-mean join-kernel ratio over %d rows = %.2fx\n", \
-           rows, geomean
-    if (geomean < 0.8) {
-      print "FAIL: join kernel regressed more than 20% overall"
-      failed = 1
-    }
-    if (rtree_default > 0) {
-      speedup = sweep_default / rtree_default
-      printf "default row sweep/rtree = %.2fx\n", speedup
-      if (speedup < 3.0) {
-        print "FAIL: sweep kernel speedup below 3.0x at default geometry"
-        failed = 1
-      }
-    }
-    exit failed
-  }
-' "$KERNEL_BASELINE" "$KERNEL_CURRENT" || status=1
-
-# Checkpoint rows:
-#   {"workload": "checkpoint", "parallelism": P, "interval": I,
-#    "snapshots_per_sec": R, ...}
-# keyed on (parallelism, interval), interval 0 = checkpointing off. The
-# overhead floor compares interval=100 against off WITHIN the current run
-# (machine-neutral); the baseline join only reports drift.
-awk '
-  function field(line, name,    rest) {
-    rest = line
-    sub(".*\"" name "\": *", "", rest)
-    sub("[,}].*", "", rest)
-    gsub("\"", "", rest)
-    return rest
-  }
-  {
-    key = "p" field($0, "parallelism") "/i" field($0, "interval")
-    rate = field($0, "snapshots_per_sec") + 0
-    if (NR == FNR) { baseline[key] = rate; next }
-    if (key in baseline) {
       ratio = rate / baseline[key]
-      verdict = (ratio >= 0.8) ? "ok  " : "low "
-      printf "%s checkpoint/%-12s %10.0f snap/s  baseline %10.0f  (%.2fx)\n", \
-             verdict, key, rate, baseline[key], ratio
-    } else {
-      printf "NEW  checkpoint/%-12s %10.0f snap/s (no baseline)\n", key, rate
-    }
-    current[key] = rate
-    rows += 1
-  }
-  END {
-    if (rows == 0) { print "FAIL: no checkpoint rows"; exit 1 }
-    for (p = 1; p <= 4; p += 3) {
-      off = current["p" p "/i0"]
-      sparse = current["p" p "/i100"]
-      if (off <= 0 || sparse <= 0) {
-        printf "FAIL: missing checkpoint rows for p=%d\n", p
-        failed = 1
-        continue
-      }
-      overhead = 1 - sparse / off
-      printf "checkpoint p=%d interval=100 overhead = %.1f%%\n", \
-             p, overhead * 100
-      if (overhead > 0.05) {
-        printf "FAIL: checkpoint overhead above 5%% at p=%d\n", p
-        failed = 1
-      }
-    }
-    exit failed
-  }
-' "$CKPT_BASELINE" "$CKPT_CURRENT" || status=1
-
-# Incremental delta-path rows:
-#   {"workload": "incremental", "objects": N, "movers": M,
-#    "mode": "full"|"delta", "snapshots_per_sec": R, "replay_pct": P}
-# keyed on (objects, movers, mode). The headline floor compares delta
-# against full WITHIN the current run on the large low-mover config (the
-# regime the per-cell cache targets), so it is machine-neutral.
-awk '
-  function field(line, name,    rest) {
-    rest = line
-    sub(".*\"" name "\": *", "", rest)
-    sub("[,}].*", "", rest)
-    gsub("\"", "", rest)
-    return rest
-  }
-  {
-    key = "o" field($0, "objects") "/m" field($0, "movers") \
-          "/" field($0, "mode")
-    rate = field($0, "snapshots_per_sec") + 0
-    if (NR == FNR) { baseline[key] = rate; next }
-    current[key] = rate
-    if (!(key in baseline)) {
-      printf "NEW  incremental/%-24s %10.0f snap/s (no baseline)\n", key, rate
-      next
-    }
-    ratio = rate / baseline[key]
-    verdict = (ratio >= 0.8) ? "ok  " : "low "
-    log_sum += log(ratio)
-    rows += 1
-    printf "%s incremental/%-24s %10.0f snap/s  baseline %10.0f  (%.2fx)\n", \
-           verdict, key, rate, baseline[key], ratio
-  }
-  END {
-    if (rows == 0) { print "FAIL: no comparable incremental rows"; exit 1 }
-    geomean = exp(log_sum / rows)
-    printf "geometric-mean incremental ratio over %d rows = %.2fx\n", \
-           rows, geomean
-    if (geomean < 0.8) {
-      print "FAIL: incremental bench regressed more than 20% overall"
-      failed = 1
-    }
-    full = current["o3904/m78/full"]
-    delta = current["o3904/m78/delta"]
-    if (full <= 0 || delta <= 0) {
-      print "FAIL: missing incremental headline rows"
-      failed = 1
-    } else {
-      speedup = delta / full
-      printf "incremental headline (o3904/m78) delta/full = %.2fx\n", speedup
-      if (speedup < 2.0) {
-        print "FAIL: delta path speedup below 2x on the parked-fleet config"
-        failed = 1
-      }
-    }
-    exit failed
-  }
-' "$INCR_BASELINE" "$INCR_CURRENT" || status=1
-
-# Enumeration hot-loop rows:
-#   {"workload": "enumerator", "algo": "fba"|"vba", "impl": "fast"|"naive",
-#    "m": M, "k": K, "l": L, "g": G, "opc": O, "snapshots_per_sec": R}
-# keyed on (algo, impl, m, k, l, g, opc). The headline floor compares
-# fast against the naive replica WITHIN the current run on the
-# enumeration-bound FBA config, so it is machine-neutral.
-awk '
-  function field(line, name,    rest) {
-    rest = line
-    sub(".*\"" name "\": *", "", rest)
-    sub("[,}].*", "", rest)
-    gsub("\"", "", rest)
-    return rest
-  }
-  {
-    key = field($0, "algo") "/" field($0, "impl") "/m" field($0, "m") \
-          "k" field($0, "k") "l" field($0, "l") "g" field($0, "g") \
-          "/opc" field($0, "opc")
-    rate = field($0, "snapshots_per_sec") + 0
-    if (NR == FNR) { baseline[key] = rate; next }
-    current[key] = rate
-    if (!(key in baseline)) {
-      printf "NEW  enum/%-32s %10.0f snap/s (no baseline)\n", key, rate
-      next
-    }
-    ratio = rate / baseline[key]
-    verdict = (ratio >= 0.8) ? "ok  " : "low "
-    log_sum += log(ratio)
-    rows += 1
-    printf "%s enum/%-32s %10.0f snap/s  baseline %10.0f  (%.2fx)\n", \
-           verdict, key, rate, baseline[key], ratio
-  }
-  END {
-    if (rows == 0) { print "FAIL: no comparable enumerator rows"; exit 1 }
-    geomean = exp(log_sum / rows)
-    printf "geometric-mean enumerator ratio over %d rows = %.2fx\n", \
-           rows, geomean
-    if (geomean < 0.8) {
-      print "FAIL: enumerator bench regressed more than 20% overall"
-      failed = 1
-    }
-    fast = current["fba/fast/m4k18l3g3/opc32"]
-    naive = current["fba/naive/m4k18l3g3/opc32"]
-    if (fast <= 0 || naive <= 0) {
-      print "FAIL: missing enumerator headline rows"
-      failed = 1
-    } else {
-      speedup = fast / naive
-      printf "enumerator headline (fba m4/k18/l3/g3/opc32) fast/naive = %.2fx\n", \
-             speedup
-      if (speedup < 3.0) {
-        print "FAIL: word-parallel enumeration speedup below 3x"
-        failed = 1
-      }
-    }
-    exit failed
-  }
-' "$ENUM_BASELINE" "$ENUM_CURRENT" || status=1
-
-# Transport deployment rows:
-#   {"workload": "transport", "transport": "threads"|"unix"|"tcp",
-#    "workers": W, "parallelism": P, "snapshots_per_sec": R}
-# keyed on (transport, workers, parallelism). Only the "threads" rows
-# join the geomean gate; the multi-process socket rows are reported for
-# drift (and the p=4 transport tax is printed from the current run) but
-# never fail the build - see the header comment.
-awk '
-  function field(line, name,    rest) {
-    rest = line
-    sub(".*\"" name "\": *", "", rest)
-    sub("[,}].*", "", rest)
-    gsub("\"", "", rest)
-    return rest
-  }
-  {
-    transport = field($0, "transport")
-    key = transport "/w" field($0, "workers") "/p" field($0, "parallelism")
-    rate = field($0, "snapshots_per_sec") + 0
-    if (NR == FNR) { baseline[key] = rate; next }
-    current[key] = rate
-    if (!(key in baseline)) {
-      printf "NEW  transport/%-24s %10.0f snap/s (no baseline)\n", key, rate
-      next
-    }
-    ratio = rate / baseline[key]
-    if (transport == "threads") {
-      verdict = (ratio >= 0.8) ? "ok  " : "low "
-      log_sum += log(ratio)
-      rows += 1
-    } else {
       verdict = "info"
+      if (gated != "" && key ~ gated) {
+        verdict = (ratio >= 0.8) ? "ok  " : "low "
+        log_sum += log(ratio)
+        rows += 1
+      }
+      printf "%s %s/%-36s %12.0f  baseline %12.0f  (%.2fx)\n", \
+             verdict, name, key, rate, baseline[key], ratio
     }
-    printf "%s transport/%-24s %10.0f snap/s  baseline %10.0f  (%.2fx)\n", \
-           verdict, key, rate, baseline[key], ratio
-  }
-  END {
-    if (rows == 0) { print "FAIL: no comparable transport threads rows"; exit 1 }
-    geomean = exp(log_sum / rows)
-    printf "geometric-mean transport-threads ratio over %d rows = %.2fx\n", \
-           rows, geomean
-    if (geomean < 0.8) {
-      print "FAIL: thread-deployment throughput regressed more than 20%"
-      failed = 1
+    END {
+      if (seen == 0) { printf "FAIL: no %s rows\n", name; exit 1 }
+      if (gated != "") {
+        if (rows == 0) { printf "FAIL: no comparable %s rows\n", name; exit 1 }
+        geomean = exp(log_sum / rows)
+        printf "geometric-mean %s ratio over %d rows = %.2fx\n", \
+               name, rows, geomean
+        if (geomean < 0.8) {
+          printf "FAIL: %s regressed more than 20%% overall\n", name
+          failed = 1
+        }
+      }
+      n = split(floors, list, ";")
+      for (i = 1; i <= n; i++) {
+        if (list[i] == "") continue
+        split(list[i], fl, "|")
+        num = current[fl[1]]
+        den = current[fl[2]]
+        if (num <= 0 || den <= 0) {
+          if (fl[3] + 0 == 0) continue
+          printf "FAIL: missing rows for %s (%s, %s)\n", fl[4], fl[1], fl[2]
+          failed = 1
+          continue
+        }
+        if (fl[3] + 0 == 0) {
+          printf "%s = %.2fx (reported, not gated)\n", fl[4], num / den
+        } else {
+          printf "%s = %.3f (floor %s)\n", fl[4], num / den, fl[3]
+          if (num / den < fl[3] + 0) {
+            printf "FAIL: %s below %s\n", fl[4], fl[3]
+            failed = 1
+          }
+        }
+      }
+      exit failed
     }
-    threads = current["threads/w0/p4"]
-    unix_w4 = current["unix/w4/p4"]
-    tcp_w4 = current["tcp/w4/p4"]
-    if (threads > 0 && unix_w4 > 0 && tcp_w4 > 0) {
-      printf "p=4 transport tax (reported, not gated): unix/threads = %.2fx, tcp/threads = %.2fx\n", \
-             unix_w4 / threads, tcp_w4 / threads
-    }
-    exit failed
-  }
-' "$TRANS_BASELINE" "$TRANS_CURRENT" || status=1
+  ' "BENCH_$name.json" "BENCH_$name.tmp.json"
+}
 
-rm -f "$CURRENT" "$KERNEL_CURRENT" "$CKPT_CURRENT" "$INCR_CURRENT" \
-  "$ENUM_CURRENT" "$TRANS_CURRENT"
+status=0
+# Tracing overhead is paired WITHIN the current run (see bench header).
+compare flow_throughput records_per_sec "workload parallelism:p batch:b mode" . \
+  "join_parallel_cells/p4/b64|join_parallel_cells/p4/b1|1.5|join_parallel_cells p=4 batch64/batch1" \
+  "trace_overhead/p4/b64/off|trace_overhead/p4/b64/ref|0.99|trace_overhead off/ref" \
+  "trace_overhead/p4/b64/on|trace_overhead/p4/b64/off|0.95|trace_overhead on/off" \
+  || status=1
+compare join_kernel pairs_per_sec "kernel eps_rel:eps opc:opc" . \
+  "sweep/eps0.375/opc64|rtree/eps0.375/opc64|3.0|default row sweep/rtree" \
+  || status=1
+# interval=100 may cost at most 5% against checkpointing off (i0).
+compare checkpoint snapshots_per_sec "parallelism:p interval:i" "" \
+  "p1/i100|p1/i0|0.95|checkpoint p=1 interval=100 / off" \
+  "p4/i100|p4/i0|0.95|checkpoint p=4 interval=100 / off" \
+  || status=1
+compare incremental snapshots_per_sec "objects:o movers:m mode" . \
+  "o3904/m78/delta|o3904/m78/full|2.0|incremental headline (o3904/m78) delta/full" \
+  || status=1
+compare enum snapshots_per_sec "algo impl m:m k:k l:l g:g opc:opc" . \
+  "fba/fast/m4/k18/l3/g3/opc32|fba/naive/m4/k18/l3/g3/opc32|3.0|enumerator headline (fba m4/k18/l3/g3/opc32) fast/naive" \
+  || status=1
+compare transport snapshots_per_sec "transport workers:w parallelism:p" "^threads/" \
+  "unix/w4/p4|threads/w0/p4|0|p=4 transport tax unix/threads" \
+  "tcp/w4/p4|threads/w0/p4|0|p=4 transport tax tcp/threads" \
+  || status=1
+
+for bench in "${BENCHES[@]}"; do rm -f "BENCH_$bench.tmp.json"; done
 if [ "$status" -ne 0 ]; then
   echo "bench smoke FAILED (>20% regression or lost headline win)" >&2
 else

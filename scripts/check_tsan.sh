@@ -29,7 +29,6 @@ TESTS=(
   reorder_buffer_test
   icpe_engine_test
   icpe_replay_test
-  icpe_parallel_join_test
   incremental_join_test
   simd_kernel_test
   icpe_incremental_test

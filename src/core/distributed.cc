@@ -7,10 +7,8 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,14 +20,10 @@
 
 #include "common/check.h"
 #include "common/serde.h"
-#include "core/completion_tracker.h"
 #include "core/stage_workers.h"
 #include "core/state_serde.h"
 #include "core/wire_codecs.h"
-#include "flow/checkpoint/coordinator.h"
-#include "flow/exchange.h"
-#include "flow/metrics.h"
-#include "flow/metrics_sampler.h"
+#include "core/worker_fleet.h"
 #include "flow/net/peer_link.h"
 #include "flow/net/socket.h"
 #include "flow/net/socket_transport.h"
@@ -57,10 +51,11 @@ enum CtrlTag : std::uint8_t {
   kTagConfig = 17,     ///< coord -> worker: the full WorkerSetup blob
   kTagAck = 18,        ///< worker -> coord: checkpoint state ack
   kTagProgress = 19,   ///< worker -> coord: subtask finalized through t
-  kTagResult = 20,     ///< worker -> coord: counters + times + patterns
+  kTagResult = 20,     ///< worker -> coord: final counters + times
   kTagPeerHello = 21,  ///< worker -> worker: u32 index (mesh handshake)
   kTagStats = 22,      ///< worker -> coord: stage-stats snapshots
   kTagTrace = 23,      ///< worker -> coord: trace events + clock anchors
+  kTagPatterns = 24,   ///< worker -> coord: u64 query + one fold chunk
 };
 
 constexpr std::uint8_t kSnapshotEdge = 0;   ///< assembler -> cluster
@@ -273,8 +268,7 @@ void FoldTime(TimeAccumulator* acc, double total_ms, std::int64_t count) {
 
 void EncodeResult(BinaryWriter* w, PipelineCounters* counters,
                   const TimeAccumulator& cluster_time,
-                  const TimeAccumulator& enum_time,
-                  const std::vector<pattern::PatternCollector>& collectors) {
+                  const TimeAccumulator& enum_time) {
   w->WriteU8(kTagResult);
   for (std::atomic<std::int64_t>* field : CounterFields(counters)) {
     w->WriteI64(field->load(std::memory_order_relaxed));
@@ -283,44 +277,62 @@ void EncodeResult(BinaryWriter* w, PipelineCounters* counters,
   w->WriteI64(cluster_time.count);
   w->WriteDouble(enum_time.total_ms);
   w->WriteI64(enum_time.count);
-  w->WriteU64(collectors.size());
-  for (const pattern::PatternCollector& collector : collectors) {
-    w->WriteU64(collector.size());
-    for (const auto& [objects, pat] : collector.entries()) {
-      WritePattern(w, pat);
-    }
-  }
 }
 
 /// Folds one worker's RESULT body (reader past the tag) into the
 /// coordinator's run state. Thread-safe against concurrent results.
-bool FoldResult(BinaryReader* r, PipelineCounters* counters,
-                TimeAccumulator* cluster_time, TimeAccumulator* enum_time,
-                std::mutex* collector_mu,
-                std::vector<pattern::PatternCollector>* collectors) {
-  for (std::atomic<std::int64_t>* field : CounterFields(counters)) {
+bool FoldResult(BinaryReader* r, StageResults* results) {
+  for (std::atomic<std::int64_t>* field : CounterFields(&results->counters)) {
     field->fetch_add(r->ReadI64(), std::memory_order_relaxed);
   }
   const double cluster_ms = r->ReadDouble();
   const std::int64_t cluster_count = r->ReadI64();
   const double enum_ms = r->ReadDouble();
   const std::int64_t enum_count = r->ReadI64();
-  if (!r->ok()) return false;
-  FoldTime(cluster_time, cluster_ms, cluster_count);
-  FoldTime(enum_time, enum_ms, enum_count);
-  const std::uint64_t queries = r->ReadU64();
-  if (!r->ok() || queries != collectors->size()) return false;
-  std::lock_guard<std::mutex> lock(*collector_mu);
-  for (std::uint64_t q = 0; q < queries; ++q) {
-    const std::uint64_t patterns = r->ReadU64();
-    if (!r->ok() || patterns > r->remaining()) return false;
-    for (std::uint64_t i = 0; i < patterns; ++i) {
-      const CoMovementPattern pat = ReadPattern(r);
-      if (!r->ok()) return false;
-      (*collectors)[q].Add(pat);
+  if (!r->ok() || !r->AtEnd()) return false;
+  FoldTime(&results->cluster_time, cluster_ms, cluster_count);
+  FoldTime(&results->enum_time, enum_ms, enum_count);
+  return true;
+}
+
+/// Ships a worker's pattern fold as PATTERNS frames. A chunk closes once
+/// it reaches kResultChunkBytes, so no frame comes near the frame limit
+/// however large the fold grows.
+void ShipPatterns(PeerLink* coord,
+                  const std::vector<pattern::PatternCollector>& collectors) {
+  std::string payload;
+  BinaryWriter writer(&payload);
+  for (std::size_t q = 0; q < collectors.size(); ++q) {
+    std::size_t pending = 0;
+    for (const auto& [objects, pat] : collectors[q].entries()) {
+      if (pending == 0) {
+        payload.clear();
+        writer.WriteU8(kTagPatterns);
+        writer.WriteU64(q);
+      }
+      WritePattern(&writer, pat);
+      ++pending;
+      if (payload.size() >= kResultChunkBytes) {
+        coord->SendFrame(payload);
+        pending = 0;
+      }
     }
+    if (pending > 0) coord->SendFrame(payload);
   }
-  return r->ok() && r->AtEnd();
+}
+
+/// Folds one PATTERNS chunk (reader past the tag) into the coordinator's
+/// collectors. Thread-safe against concurrent chunks.
+bool FoldPatterns(BinaryReader* r, StageResults* results) {
+  const std::uint64_t q = r->ReadU64();
+  if (!r->ok() || q >= results->collectors.size()) return false;
+  std::lock_guard<std::mutex> lock(results->collector_mu);
+  while (!r->AtEnd()) {
+    const CoMovementPattern pat = ReadPattern(r);
+    if (!r->ok()) return false;
+    results->collectors[q].Add(pat);
+  }
+  return true;
 }
 
 pid_t SpawnWorker(const std::string& binary,
@@ -396,12 +408,13 @@ int NetWorkerMain(const std::string& coordinator_address,
   // --- Worker-side observability. The worker keeps its own stats
   // registry and trace recorder and ships both to the coordinator over
   // the control link: throttled STATS frames piggyback on the progress
-  // cadence, and a final STATS + TRACE pair precedes the RESULT on the
-  // same FIFO link, so the coordinator has merged them by the time the
-  // result is accounted. Handshake frames stay uncounted on both ends
-  // (link stats attach only after CONFIG here, after CONFIG-send on the
-  // coordinator, and after PeerHello on both mesh sides), which keeps the
-  // per-link frame counters symmetric across a clean run.
+  // cadence, and the pattern chunks, a final STATS and the TRACE precede
+  // the RESULT on the same FIFO link, so the coordinator has merged them
+  // all by the time the result is accounted. Handshake frames stay
+  // uncounted on both ends (link stats attach only after CONFIG here,
+  // after CONFIG-send on the coordinator, and after PeerHello on both
+  // mesh sides), which keeps the per-link frame counters symmetric
+  // across a clean run.
   const QueryPlan plan = BuildQueryPlan(setup.options);
   const bool enumerate = plan.enumerate();
   const bool wcollect = setup.collect_stats;
@@ -567,51 +580,11 @@ int NetWorkerMain(const std::string& coordinator_address,
 
   // --- Run state and the subtask environment. Acks and progress go to
   // the coordinator as control frames; patterns fold into worker-local
-  // collectors shipped with the RESULT (always transactional: commit
+  // collectors shipped ahead of the RESULT (always transactional: commit
   // happens only at a normal exit, so a crashed worker contributes
   // nothing and recovery regenerates its patterns exactly).
   FaultInjector injector(setup.options.fault);
-  PipelineCounters counters;
-  TimeAccumulator cluster_time;
-  TimeAccumulator enum_time;
-  std::mutex collector_mu;
-  std::vector<pattern::PatternCollector> collectors(plan.queries.size());
-
-  StageEnv env;
-  env.options = &setup.options;
-  env.tr = wtr;
-  env.injector = &injector;
-  env.crashed = &crashed;
-  // An injected fault is a REAL process kill here: no destructors, no
-  // RESULT, sockets slam shut - exactly what recovery must survive.
-  env.crash_all = [] { std::_Exit(3); };
-  env.ack = [&](std::int64_t id, const char* op, std::int32_t subtask,
-                std::string state, flow::StageStats* stats) {
-    if (stats != nullptr) {
-      stats->OnSnapshot(static_cast<std::int64_t>(state.size()), id);
-    }
-    const std::uint64_t t0 = wtr != nullptr ? wtr->NowNs() : 0;
-    std::string payload;
-    BinaryWriter writer(&payload);
-    writer.WriteU8(kTagAck);
-    writer.WriteString(op);
-    writer.WriteI32(subtask);
-    writer.WriteI64(id);
-    writer.WriteString(state);
-    coord.SendFrame(payload);
-    if (wtr != nullptr) {
-      wtr->RecordSpanSince("checkpoint", op, subtask, kNoTime, t0, id);
-    }
-  };
-  env.restored_state = [&](const char* op,
-                           std::int32_t subtask) -> const std::string* {
-    const auto it = setup.restored.find({std::string(op), subtask});
-    return it != setup.restored.end() ? &it->second : nullptr;
-  };
-  env.checkpointing = setup.checkpointing;
-  env.restored_id = setup.restored_id;
-  env.pop_batch_max =
-      std::max<std::size_t>(std::size_t{1}, setup.options.exchange_batch_size);
+  StageResults results(plan.queries.size());
 
   // Periodic + final stats shipping. SendFrame serialises on the link's
   // send mutex, so STATS frames from different subtask threads interleave
@@ -644,7 +617,39 @@ int NetWorkerMain(const std::string& coordinator_address,
     ship_stats(false);
   };
 
-  ProgressFn progress = [&](std::int32_t subtask, Timestamp through) {
+  StageEnv env;
+  env.options = &setup.options;
+  env.plan = &plan;
+  env.tr = wtr;
+  env.injector = &injector;
+  env.crashed = &crashed;
+  // An injected fault is a REAL process kill here: no destructors, no
+  // RESULT, sockets slam shut - exactly what recovery must survive.
+  env.crash_all = [] { std::_Exit(3); };
+  env.ack = [&](std::int64_t id, const char* op, std::int32_t subtask,
+                std::string state, flow::StageStats* stats) {
+    if (stats != nullptr) {
+      stats->OnSnapshot(static_cast<std::int64_t>(state.size()), id);
+    }
+    const std::uint64_t t0 = wtr != nullptr ? wtr->NowNs() : 0;
+    std::string payload;
+    BinaryWriter writer(&payload);
+    writer.WriteU8(kTagAck);
+    writer.WriteString(op);
+    writer.WriteI32(subtask);
+    writer.WriteI64(id);
+    writer.WriteString(state);
+    coord.SendFrame(payload);
+    if (wtr != nullptr) {
+      wtr->RecordSpanSince("checkpoint", op, subtask, kNoTime, t0, id);
+    }
+  };
+  env.restored_state = [&](const char* op,
+                           std::int32_t subtask) -> const std::string* {
+    const auto it = setup.restored.find({std::string(op), subtask});
+    return it != setup.restored.end() ? &it->second : nullptr;
+  };
+  env.progress = [&](std::int32_t subtask, Timestamp through) {
     std::string payload;
     BinaryWriter writer(&payload);
     writer.WriteU8(kTagProgress);
@@ -653,52 +658,17 @@ int NetWorkerMain(const std::string& coordinator_address,
     coord.SendFrame(payload);
     maybe_ship_stats();
   };
+  env.checkpointing = setup.checkpointing;
+  env.transactional = true;
+  env.restored_id = setup.restored_id;
+  env.pop_batch_max =
+      std::max<std::size_t>(std::size_t{1}, setup.options.exchange_batch_size);
 
-  ClusterStageEnv cluster_env;
-  cluster_env.cluster_time = &cluster_time;
-  cluster_env.counters = &counters;
-  cluster_env.cluster_stats = snapshot_stats;
-  cluster_env.partition_constraints = &plan.partition_constraints;
-  cluster_env.enumerate = enumerate;
-  cluster_env.progress = progress;
-
-  EnumerateStageEnv enumerate_env;
-  enumerate_env.queries = &plan.queries;
-  enumerate_env.enum_time = &enum_time;
-  enumerate_env.counters = &counters;
-  enumerate_env.enumerate_stats = partition_stats;
-  enumerate_env.producers = p;
-  enumerate_env.transactional = true;
-  enumerate_env.commit =
-      [&](std::vector<pattern::PatternCollector>&& logs) {
-        std::lock_guard<std::mutex> lock(collector_mu);
-        for (std::size_t q = 0; q < collectors.size(); ++q) {
-          for (const CoMovementPattern& pat : logs[q].Patterns()) {
-            collectors[q].Add(pat);
-          }
-        }
-      };
-  enumerate_env.progress = progress;
-
-  // --- The subtasks themselves: the exact same bodies RunIcpe runs.
   {
     flow::TaskGroup tasks;
-    for (std::int32_t s = setup.lo; s < setup.hi; ++s) {
-      tasks.Spawn([&, s] {
-        RunClusterSubtask(s, env, cluster_env,
-                          snapshot_transport.channel(s),
-                          partition_transport);
-      });
-    }
-    if (enumerate) {
-      for (std::int32_t s = setup.lo; s < setup.hi; ++s) {
-        tasks.Spawn([&, s] {
-          RunEnumerateSubtask(s, env, enumerate_env,
-                              partition_transport.channel(s));
-        });
-      }
-    }
-    tasks.JoinAll();
+    SpawnStageSubtasks(tasks, setup.lo, setup.hi, env, results,
+                       snapshot_transport, snapshot_stats,
+                       partition_transport, partition_stats);
   }
 
   if (crashed.load()) {
@@ -710,8 +680,10 @@ int NetWorkerMain(const std::string& coordinator_address,
   }
 
   finished.store(true, std::memory_order_release);
-  // Final observability frames precede the RESULT on the same FIFO link:
-  // when the coordinator accounts the result, the merge is complete.
+  // The pattern chunks go first so the final stats count them; the final
+  // observability frames then precede the RESULT on the same FIFO link,
+  // so when the coordinator accounts the result, every merge is done.
+  ShipPatterns(&coord, results.collectors);
   if (wcollect) ship_stats(true);
   if (wtr != nullptr) {
     // Subtask threads are joined, so Events() is complete and sorted.
@@ -732,7 +704,8 @@ int NetWorkerMain(const std::string& coordinator_address,
   {
     std::string payload;
     BinaryWriter writer(&payload);
-    EncodeResult(&writer, &counters, cluster_time, enum_time, collectors);
+    EncodeResult(&writer, &results.counters, results.cluster_time,
+                 results.enum_time);
     coord.SendFrame(payload);
   }
   // Half-close everything, then join readers: the coordinator closes our
@@ -757,77 +730,22 @@ std::optional<int> MaybeNetWorker(int argc, char** argv) {
   return std::nullopt;
 }
 
-IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
-                              const IcpeOptions& options,
-                              const DistributedOptions& dist) {
-  COMOVE_CHECK(options.parallelism > 0);
-  COMOVE_CHECK(options.constraints.IsValid());
-  COMOVE_CHECK_MSG(!options.join_parallel_cells,
-                   "distributed runs use the snapshot-parallel pipeline");
-  COMOVE_CHECK_MSG(!options.on_pattern,
-                   "on_pattern cannot cross a process boundary");
-  COMOVE_CHECK_MSG(dist.transport == "unix" || dist.transport == "tcp",
-                   "transport must be \"unix\" or \"tcp\"");
+WorkerFleet::WorkerFleet(const DistributedOptions& dist, const StageEnv& env,
+                         const flow::CheckpointBundle* restored,
+                         flow::StageStatsRegistry* stats,
+                         StageResults* results,
+                         flow::CheckpointCoordinator* checkpoints)
+    : env_(env),
+      count_(dist.workers),
+      stats_(stats),
+      results_(results),
+      checkpoints_(checkpoints),
+      traces_(static_cast<std::size_t>(dist.workers)),
+      stats_final_(static_cast<std::size_t>(dist.workers), 0),
+      trace_received_(static_cast<std::size_t>(dist.workers), 0),
+      accounted_(static_cast<std::size_t>(dist.workers)) {
+  const IcpeOptions& options = *env.options;
   const std::int32_t p = options.parallelism;
-  const std::int32_t worker_count = dist.workers;
-  COMOVE_CHECK_MSG(worker_count >= 1 && worker_count <= p,
-                   "need 1 <= workers <= parallelism");
-  const std::size_t pop_batch_max =
-      std::max<std::size_t>(std::size_t{1}, options.exchange_batch_size);
-
-  const QueryPlan plan = BuildQueryPlan(options);
-  const std::vector<PatternQuery>& queries = plan.queries;
-  const bool enumerate = plan.enumerate();
-
-  std::optional<flow::TraceRecorder> owned_trace;
-  flow::TraceRecorder* const tr =
-      options.trace != nullptr
-          ? options.trace
-          : (!options.trace_path.empty() ? &owned_trace.emplace()
-                                         : nullptr);
-  constexpr std::size_t kWorstSnapshots = 5;
-  const bool collect_stats =
-      options.collect_stats || options.sample_interval_ms > 0;
-  flow::StageStatsRegistry stats_registry;
-  auto stats_for = [&](const char* stage) -> flow::StageStats* {
-    return collect_stats ? &stats_registry.Get(stage) : nullptr;
-  };
-
-  // --- Checkpointing/recovery plumbing, identical to RunIcpe; the
-  // fingerprint deliberately excludes the deployment, so a distributed
-  // run restores single-process checkpoints and vice versa.
-  const bool checkpointing = options.checkpoint_interval > 0;
-  if (checkpointing) {
-    COMOVE_CHECK_MSG(options.snapshot_store != nullptr,
-                     "checkpoint_interval requires a snapshot_store");
-    COMOVE_CHECK_MSG(options.replay_shuffle_window <= 0,
-                     "checkpointing requires ordered replay");
-  }
-  if (options.recover) {
-    COMOVE_CHECK_MSG(options.snapshot_store != nullptr,
-                     "recover requires a snapshot_store");
-  }
-  const std::string fingerprint =
-      (checkpointing || options.recover)
-          ? BuildFingerprint(dataset, options)
-          : std::string();
-  std::optional<flow::CheckpointBundle> restored;
-  if (options.recover) {
-    restored = options.snapshot_store->ReadLatest();
-    if (restored) {
-      COMOVE_CHECK_MSG(restored->fingerprint == fingerprint,
-                       "checkpoint fingerprint mismatch: the store was "
-                       "written by a different dataset or pipeline shape");
-    }
-  }
-  const std::int64_t restored_id = restored ? restored->id : 0;
-  std::optional<flow::CheckpointCoordinator> coordinator;
-  if (checkpointing) {
-    const std::int32_t expected_acks = 2 + p + (enumerate ? p : 0);
-    coordinator.emplace(expected_acks, options.snapshot_store, fingerprint,
-                        stats_for("checkpoint"), restored_id);
-  }
-
   // --- Spawn the workers and complete the handshake: accept W links,
   // read each HELLO (index + listen address), then send every worker its
   // CONFIG - which includes ALL worker addresses, making the mesh dial-up
@@ -839,17 +757,15 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
                    listen_error.c_str());
   const std::string binary =
       dist.worker_binary.empty() ? "/proc/self/exe" : dist.worker_binary;
-  std::vector<pid_t> pids;
-  for (std::int32_t w = 0; w < worker_count; ++w) {
+  for (std::int32_t w = 0; w < count_; ++w) {
     const pid_t pid = SpawnWorker(binary, listener.address, w);
     COMOVE_CHECK_MSG(pid > 0, "cannot spawn worker process %d", w);
-    pids.push_back(pid);
+    pids_.push_back(pid);
   }
-  std::vector<std::unique_ptr<PeerLink>> links(
-      static_cast<std::size_t>(worker_count));
+  links_.resize(static_cast<std::size_t>(count_));
   std::vector<std::string> worker_addresses(
-      static_cast<std::size_t>(worker_count));
-  for (std::int32_t n = 0; n < worker_count; ++n) {
+      static_cast<std::size_t>(count_));
+  for (std::int32_t n = 0; n < count_; ++n) {
     UniqueFd fd = Accept(listener, dist.connect_timeout_ms);
     COMOVE_CHECK_MSG(fd.valid(), "timed out waiting for worker HELLO");
     auto link = std::make_unique<PeerLink>(std::move(fd));
@@ -861,17 +777,20 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
     const auto index = static_cast<std::int32_t>(reader.ReadU32());
     std::string address = reader.ReadString();
     COMOVE_CHECK_MSG(tag == kTagHello && reader.ok() && reader.AtEnd() &&
-                         index >= 0 && index < worker_count &&
-                         links[static_cast<std::size_t>(index)] == nullptr,
+                         index >= 0 && index < count_ &&
+                         links_[static_cast<std::size_t>(index)] == nullptr,
                      "bad worker HELLO");
-    links[static_cast<std::size_t>(index)] = std::move(link);
+    links_[static_cast<std::size_t>(index)] = std::move(link);
     worker_addresses[static_cast<std::size_t>(index)] = std::move(address);
   }
-  for (std::int32_t w = 0; w < worker_count; ++w) {
+  // Every worker is connected; the rendezvous path is no longer needed.
+  UnlinkIfUnix(listener.address);
+
+  for (std::int32_t w = 0; w < count_; ++w) {
     WorkerSetup setup;
-    setup.worker_count = worker_count;
+    setup.worker_count = count_;
     setup.worker_index = w;
-    std::tie(setup.lo, setup.hi) = SubtaskRange(p, worker_count, w);
+    std::tie(setup.lo, setup.hi) = SubtaskRange(p, count_, w);
     setup.peer_addresses = worker_addresses;
     setup.options.parallelism = p;
     setup.options.channel_capacity = options.channel_capacity;
@@ -879,16 +798,16 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
     setup.options.clustering = options.clustering;
     setup.options.cluster_options = options.cluster_options;
     setup.options.enumerator = EnumeratorKind::kNone;
-    setup.options.extra_queries = queries;
+    setup.options.extra_queries = env.plan->queries;
     setup.options.fault = options.fault;
-    setup.checkpointing = checkpointing;
-    setup.restored_id = restored_id;
-    setup.collect_stats = collect_stats;
-    setup.trace = tr != nullptr;
+    setup.checkpointing = env.checkpointing;
+    setup.restored_id = env.restored_id;
+    setup.collect_stats = stats_ != nullptr;
+    setup.trace = env.tr != nullptr;
     if (options.sample_interval_ms > 0) {
       setup.stats_interval_ms = options.sample_interval_ms;
     }
-    if (restored) {
+    if (restored != nullptr) {
       // Workers only host cluster (stateless, empty acks) and enumerate
       // subtasks; ship exactly those states from the bundle.
       for (const flow::OperatorState& state : restored->states) {
@@ -900,365 +819,204 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
     // The clock anchor is per-worker: stamped right before the send so
     // the pairing with the worker's decode-time clock is as tight as the
     // one-way CONFIG latency allows.
-    setup.coord_trace_now = tr != nullptr ? tr->NowNs() : 0;
+    setup.coord_trace_now = env.tr != nullptr ? env.tr->NowNs() : 0;
     std::string payload;
     BinaryWriter writer(&payload);
     EncodeConfig(&writer, setup);
-    links[static_cast<std::size_t>(w)]->SendFrame(payload);
-    if (collect_stats) {
+    links_[static_cast<std::size_t>(w)]->SendFrame(payload);
+    if (stats_ != nullptr) {
       // Attach link stats only after CONFIG so the handshake frames stay
       // uncounted on both ends (the worker mirrors this), keeping frame
       // counters symmetric across a clean run.
-      links[static_cast<std::size_t>(w)]->set_stats(
-          &stats_registry.Get("link:w" + std::to_string(w)));
+      links_[static_cast<std::size_t>(w)]->set_stats(
+          &stats_->Get("link:w" + std::to_string(w)));
     }
   }
-  if (collect_stats) {
+  if (stats_ != nullptr) {
     // Pre-register every row the workers will ship, in deterministic
     // order: the sampler matches rows positionally on the append-only
     // registry, so the layout must be stable from its first tick.
-    for (std::int32_t w = 0; w < worker_count; ++w) {
+    for (std::int32_t w = 0; w < count_; ++w) {
       const std::string prefix = "w" + std::to_string(w) + ":";
-      stats_registry.Get(prefix + "assembler->cluster");
-      if (enumerate) stats_registry.Get(prefix + "cluster->enumerate");
-      stats_registry.Get(prefix + "link:coord");
-      for (std::int32_t j = 0; j < worker_count; ++j) {
-        if (j != w) stats_registry.Get(prefix + "link:w" + std::to_string(j));
+      stats_->Get(prefix + "assembler->cluster");
+      if (env.plan->enumerate()) stats_->Get(prefix + "cluster->enumerate");
+      stats_->Get(prefix + "link:coord");
+      for (std::int32_t j = 0; j < count_; ++j) {
+        if (j != w) stats_->Get(prefix + "link:w" + std::to_string(j));
       }
     }
   }
-  std::optional<flow::MetricsSampler> sampler;
-  if (options.sample_interval_ms > 0) {
-    sampler.emplace(stats_registry, options.sample_interval_ms);
-    sampler->Start();
-  }
 
-  // --- Coordinator-local pipeline state. The snapshot-edge transport has
-  // an empty local consumer range: every cluster subtask is remote, and
-  // route[c] is the link of the worker hosting subtask c.
-  FaultInjector injector(options.fault);
-  std::atomic<bool> crashed{false};
-  flow::Exchange<GpsRecord> source_exchange(
-      1, 1, options.channel_capacity, stats_for("source->assembler"));
-  std::vector<PeerLink*> snapshot_route(static_cast<std::size_t>(p),
-                                        nullptr);
-  for (std::int32_t w = 0; w < worker_count; ++w) {
-    const auto [lo, hi] = SubtaskRange(p, worker_count, w);
+  // The coordinator's end of the snapshot edge hosts no consumer:
+  // route[c] is the link of the worker hosting cluster subtask c.
+  std::vector<PeerLink*> route(static_cast<std::size_t>(p), nullptr);
+  for (std::int32_t w = 0; w < count_; ++w) {
+    const auto [lo, hi] = SubtaskRange(p, count_, w);
     for (std::int32_t c = lo; c < hi; ++c) {
-      snapshot_route[static_cast<std::size_t>(c)] =
-          links[static_cast<std::size_t>(w)].get();
+      route[static_cast<std::size_t>(c)] =
+          links_[static_cast<std::size_t>(w)].get();
     }
   }
-  SocketTransport<Snapshot, SnapshotCodec> snapshot_transport(
-      1, p, kSnapshotEdge, 0, 0, snapshot_route,
-      options.channel_capacity);
+  snapshots_ = std::make_unique<SocketTransport<Snapshot, SnapshotCodec>>(
+      1, p, kSnapshotEdge, 0, 0, std::move(route), options.channel_capacity);
 
-  flow::SnapshotMetrics metrics;
-  if (tr != nullptr) metrics.KeepPerSnapshot(true);
-  CompletionTracker tracker(p);
-  TimeAccumulator cluster_time;
-  TimeAccumulator enum_time;
-  PipelineCounters counters;
-  std::mutex collector_mu;
-  std::vector<pattern::PatternCollector> collectors(queries.size());
-
-  StageEnv env;
-  env.options = &options;
-  env.tr = tr;
-  env.injector = &injector;
-  env.crashed = &crashed;
-  env.crash_all = [&] {
-    crashed.store(true);
-    source_exchange.Cancel();
-    snapshot_transport.Cancel();  // no local channels; kept for symmetry
-  };
-  env.ack = [&](std::int64_t id, const char* op, std::int32_t subtask,
-                std::string state, flow::StageStats* stats) {
-    if (stats != nullptr) {
-      stats->OnSnapshot(static_cast<std::int64_t>(state.size()), id);
-    }
-    const std::uint64_t t0 = tr != nullptr ? tr->NowNs() : 0;
-    coordinator->Ack(id, op, subtask, std::move(state));
-    if (tr != nullptr) {
-      tr->RecordSpanSince("checkpoint", op, subtask, kNoTime, t0, id);
-    }
-  };
-  env.restored_state = [&](const char* op,
-                           std::int32_t subtask) -> const std::string* {
-    return restored ? restored->Find(op, subtask) : nullptr;
-  };
-  env.checkpointing = checkpointing;
-  env.restored_id = restored_id;
-  env.pop_batch_max = pop_batch_max;
-
-  ProgressFn progress = [&](std::int32_t worker, Timestamp through) {
-    for (const Timestamp done : tracker.Update(worker, through)) {
-      metrics.MarkComplete(done);
-    }
-  };
-
-  // --- Link readers: dispatch worker acks, progress, and results. One
-  // accounting slot per worker flips exactly once - on RESULT or on an
-  // EOF without one (a crash) - and the run ends when all W flipped.
-  // Merged observability state: each slot is written only by its worker's
-  // link reader thread and read after Shutdown() joins that thread.
-  flow::net::TraceStringTable trace_strings;
-  std::vector<flow::ProcessTrace> worker_traces(
-      static_cast<std::size_t>(worker_count));
-  std::vector<char> stats_final(static_cast<std::size_t>(worker_count), 0);
-  std::vector<char> trace_received(static_cast<std::size_t>(worker_count),
-                                   0);
-
-  std::mutex link_mu;
-  std::condition_variable link_cv;
-  std::int32_t links_done = 0;
-  std::vector<std::atomic<bool>> accounted(
-      static_cast<std::size_t>(worker_count));
-  for (auto& flag : accounted) flag.store(false);
-  auto account_once = [&](std::int32_t w, bool with_result) {
-    bool expected = false;
-    if (!accounted[static_cast<std::size_t>(w)].compare_exchange_strong(
-            expected, true)) {
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(link_mu);
-      ++links_done;
-    }
-    link_cv.notify_all();
-    if (!with_result) {
-      // Worker died mid-run: cancel the local stages so the source and
-      // assembler unwind instead of streaming into a dead pipeline.
-      crashed.store(true);
-      source_exchange.Cancel();
-    }
-  };
-
-  for (std::int32_t w = 0; w < worker_count; ++w) {
-    PeerLink* link = links[static_cast<std::size_t>(w)].get();
-    link->Start(
-        [&, w](std::string_view payload) {
-          BinaryReader reader(payload);
-          const std::uint8_t tag = reader.ReadU8();
-          switch (tag) {
-            case kTagAck: {
-              std::string op = reader.ReadString();
-              const std::int32_t subtask = reader.ReadI32();
-              const std::int64_t id = reader.ReadI64();
-              std::string state = reader.ReadString();
-              if (!reader.ok() || !reader.AtEnd() || !coordinator) break;
-              // Remote snapshot-size stats are not charged to a local
-              // stage row; the "checkpoint" row still totals persisted
-              // bytes.
-              coordinator->Ack(id, std::move(op), subtask,
-                               std::move(state));
-              break;
-            }
-            case kTagProgress: {
-              const std::int32_t subtask = reader.ReadI32();
-              const auto through =
-                  static_cast<Timestamp>(reader.ReadI64());
-              if (!reader.ok() || !reader.AtEnd()) break;
-              progress(subtask, through);
-              break;
-            }
-            case kTagResult: {
-              if (FoldResult(&reader, &counters, &cluster_time,
-                             &enum_time, &collector_mu, &collectors)) {
-                account_once(w, true);
-              }
-              break;
-            }
-            case kTagStats: {
-              const bool final_frame = reader.ReadBool();
-              const std::uint64_t rows = reader.ReadU64();
-              if (!reader.ok() || rows > reader.remaining()) break;
-              const std::string prefix = "w" + std::to_string(w) + ":";
-              bool ok = true;
-              for (std::uint64_t i = 0; ok && i < rows; ++i) {
-                flow::StageStatsSnapshot snap;
-                ok = flow::net::ReadStageStatsSnapshot(&reader, &snap);
-                if (ok) {
-                  // OverwriteFrom stamps the remote counters into the
-                  // local row, so the sampler sees remote gauges (queue
-                  // depth, watermarks) advance like local ones.
-                  stats_registry.Get(prefix + snap.stage)
-                      .OverwriteFrom(snap);
-                }
-              }
-              if (ok && reader.AtEnd() && final_frame) {
-                stats_final[static_cast<std::size_t>(w)] = 1;
-              }
-              break;
-            }
-            case kTagTrace: {
-              const std::uint64_t worker_anchor = reader.ReadU64();
-              const std::uint64_t coord_anchor = reader.ReadU64();
-              const std::int64_t recorded = reader.ReadI64();
-              const std::int64_t dropped = reader.ReadI64();
-              const std::uint64_t events = reader.ReadU64();
-              if (!reader.ok() || events > reader.remaining()) break;
-              // Both anchors were taken at CONFIG time (coordinator side
-              // at encode, worker side at decode), so shifting by their
-              // difference puts the worker lane on the coordinator clock
-              // to within the one-way CONFIG latency.
-              const std::int64_t offset =
-                  static_cast<std::int64_t>(coord_anchor) -
-                  static_cast<std::int64_t>(worker_anchor);
-              flow::ProcessTrace proc;
-              proc.process_name = "w" + std::to_string(w);
-              proc.pid = 2 + w;
-              proc.recorded = recorded;
-              proc.dropped = dropped;
-              proc.events.reserve(static_cast<std::size_t>(events));
-              bool ok = true;
-              for (std::uint64_t i = 0; ok && i < events; ++i) {
-                flow::TraceEvent e;
-                ok = flow::net::ReadTraceEvent(&reader, &trace_strings,
-                                               &e);
-                if (!ok) break;
-                const std::int64_t shifted =
-                    static_cast<std::int64_t>(e.start_ns) + offset;
-                // Clamping keeps the lane monotone: events were sorted
-                // before the (constant) shift.
-                e.start_ns =
-                    shifted > 0 ? static_cast<std::uint64_t>(shifted) : 0;
-                proc.events.push_back(e);
-              }
-              if (ok && reader.AtEnd()) {
-                worker_traces[static_cast<std::size_t>(w)] =
-                    std::move(proc);
-                trace_received[static_cast<std::size_t>(w)] = 1;
-              }
-              break;
-            }
-            default:
-              break;  // data frames never flow worker -> coordinator
-          }
-        },
-        [&, w] { account_once(w, false); });
+  for (std::int32_t w = 0; w < count_; ++w) {
+    links_[static_cast<std::size_t>(w)]->Start(
+        [this, w](std::string_view payload) { OnFrame(w, payload); },
+        [this, w] { Account(w, false); });
   }
+}
 
-  // --- Run the coordinator-local stages, then wait for every worker to
-  // either report its result or die.
-  {
-    flow::TaskGroup tasks;
-    tasks.Spawn([&] { RunSourceSubtask(dataset, env, source_exchange); });
-    tasks.Spawn([&] {
-      RunAssemblerSubtask(env, source_exchange.channel(0),
-                          snapshot_transport, &metrics, &tracker, &counters,
-                          stats_for("source->assembler"));
-    });
-    tasks.JoinAll();
+WorkerFleet::~WorkerFleet() = default;
+
+void WorkerFleet::Account(std::int32_t w, bool with_result) {
+  bool expected = false;
+  if (!accounted_[static_cast<std::size_t>(w)].compare_exchange_strong(
+          expected, true)) {
+    return;
   }
   {
-    std::unique_lock<std::mutex> lock(link_mu);
-    link_cv.wait(lock, [&] { return links_done == worker_count; });
+    std::lock_guard<std::mutex> lock(done_mu_);
+    ++done_;
   }
-  for (auto& link : links) link->CloseSend();
-  for (auto& link : links) link->Shutdown();
-  if (sampler) sampler->Stop();
-  for (const pid_t pid : pids) {
+  done_cv_.notify_all();
+  // A worker that died mid-run (or shipped a corrupt fold) takes the run
+  // down: the local stages unwind instead of streaming into a dead
+  // pipeline.
+  if (!with_result) env_.crash_all();
+}
+
+void WorkerFleet::OnFrame(std::int32_t w, std::string_view payload) {
+  BinaryReader reader(payload);
+  const std::uint8_t tag = reader.ReadU8();
+  switch (tag) {
+    case kTagAck: {
+      std::string op = reader.ReadString();
+      const std::int32_t subtask = reader.ReadI32();
+      const std::int64_t id = reader.ReadI64();
+      std::string state = reader.ReadString();
+      if (!reader.ok() || !reader.AtEnd() || checkpoints_ == nullptr) break;
+      // Remote snapshot-size stats are not charged to a local stage row;
+      // the "checkpoint" row still totals persisted bytes.
+      checkpoints_->Ack(id, std::move(op), subtask, std::move(state));
+      break;
+    }
+    case kTagProgress: {
+      const std::int32_t subtask = reader.ReadI32();
+      const auto through = static_cast<Timestamp>(reader.ReadI64());
+      if (!reader.ok() || !reader.AtEnd()) break;
+      env_.progress(subtask, through);
+      break;
+    }
+    case kTagPatterns:
+      if (!FoldPatterns(&reader, results_)) Account(w, false);
+      break;
+    case kTagResult:
+      if (FoldResult(&reader, results_)) Account(w, true);
+      break;
+    case kTagStats: {
+      const bool final_frame = reader.ReadBool();
+      const std::uint64_t rows = reader.ReadU64();
+      if (!reader.ok() || rows > reader.remaining() || stats_ == nullptr) {
+        break;
+      }
+      const std::string prefix = "w" + std::to_string(w) + ":";
+      bool ok = true;
+      for (std::uint64_t i = 0; ok && i < rows; ++i) {
+        flow::StageStatsSnapshot snap;
+        ok = flow::net::ReadStageStatsSnapshot(&reader, &snap);
+        if (ok) {
+          // OverwriteFrom stamps the remote counters into the local row,
+          // so the sampler sees remote gauges (queue depth, watermarks)
+          // advance like local ones.
+          stats_->Get(prefix + snap.stage).OverwriteFrom(snap);
+        }
+      }
+      if (ok && reader.AtEnd() && final_frame) {
+        stats_final_[static_cast<std::size_t>(w)] = 1;
+      }
+      break;
+    }
+    case kTagTrace: {
+      const std::uint64_t worker_anchor = reader.ReadU64();
+      const std::uint64_t coord_anchor = reader.ReadU64();
+      const std::int64_t recorded = reader.ReadI64();
+      const std::int64_t dropped = reader.ReadI64();
+      const std::uint64_t events = reader.ReadU64();
+      if (!reader.ok() || events > reader.remaining()) break;
+      // Both anchors were taken at CONFIG time (coordinator side at
+      // encode, worker side at decode), so shifting by their difference
+      // puts the worker lane on the coordinator clock to within the
+      // one-way CONFIG latency.
+      const std::int64_t offset = static_cast<std::int64_t>(coord_anchor) -
+                                  static_cast<std::int64_t>(worker_anchor);
+      flow::ProcessTrace proc;
+      proc.process_name = "w" + std::to_string(w);
+      proc.pid = 2 + w;
+      proc.recorded = recorded;
+      proc.dropped = dropped;
+      proc.events.reserve(static_cast<std::size_t>(events));
+      bool ok = true;
+      for (std::uint64_t i = 0; ok && i < events; ++i) {
+        flow::TraceEvent e;
+        ok = flow::net::ReadTraceEvent(&reader, &trace_strings_, &e);
+        if (!ok) break;
+        const std::int64_t shifted =
+            static_cast<std::int64_t>(e.start_ns) + offset;
+        // Clamping keeps the lane monotone: events were sorted before
+        // the (constant) shift.
+        e.start_ns = shifted > 0 ? static_cast<std::uint64_t>(shifted) : 0;
+        proc.events.push_back(e);
+      }
+      if (ok && reader.AtEnd()) {
+        traces_[static_cast<std::size_t>(w)] = std::move(proc);
+        trace_received_[static_cast<std::size_t>(w)] = 1;
+      }
+      break;
+    }
+    default:
+      break;  // data frames never flow worker -> coordinator
+  }
+}
+
+bool WorkerFleet::Finish() {
+  {
+    std::unique_lock<std::mutex> lock(done_mu_);
+    done_cv_.wait(lock, [&] { return done_ == count_; });
+  }
+  for (auto& link : links_) link->CloseSend();
+  for (auto& link : links_) link->Shutdown();
+  bool clean = true;
+  for (const pid_t pid : pids_) {
     int status = 0;
     ::waitpid(pid, &status, 0);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      crashed.store(true);
-    }
+    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) clean = false;
   }
-  UnlinkIfUnix(listener.address);
+  return clean;
+}
 
-  const bool was_crashed = crashed.load();
-  if (!was_crashed) {
-    COMOVE_CHECK_MSG(tracker.pending() == 0,
-                     "pipeline drained with incomplete snapshots");
-    // Fail loudly rather than under-report: on a clean run every worker
-    // must have delivered its final stats and trace (both precede the
-    // RESULT on the same FIFO link). Crashed runs keep whatever partial
-    // rows arrived; OverwriteFrom never leaves a row half-written.
-    for (std::int32_t w = 0; w < worker_count; ++w) {
-      COMOVE_CHECK_MSG(
-          !collect_stats || stats_final[static_cast<std::size_t>(w)] != 0,
-          "worker %d finished without shipping final stage stats", w);
-      COMOVE_CHECK_MSG(
-          tr == nullptr || trace_received[static_cast<std::size_t>(w)] != 0,
-          "worker %d finished without shipping its trace", w);
-    }
+void WorkerFleet::CheckObservabilityShipped() const {
+  // Both final frames precede the RESULT on the same FIFO link, so a
+  // clean run has them from every worker. Crashed runs keep whatever
+  // partial rows arrived; OverwriteFrom never leaves a row half-written.
+  for (std::int32_t w = 0; w < count_; ++w) {
+    COMOVE_CHECK_MSG(
+        stats_ == nullptr || stats_final_[static_cast<std::size_t>(w)] != 0,
+        "worker %d finished without shipping final stage stats", w);
+    COMOVE_CHECK_MSG(env_.tr == nullptr ||
+                         trace_received_[static_cast<std::size_t>(w)] != 0,
+                     "worker %d finished without shipping its trace", w);
   }
+}
 
-  // --- Result assembly, mirroring RunIcpe. stage_stats carry the
-  // coordinator rows plus every worker's rows (prefixed "w<i>:") merged
-  // from the STATS frames; the trace gets one lane group per process.
-  IcpeResult result;
-  result.crashed = was_crashed;
-  result.last_checkpoint_id =
-      coordinator ? coordinator->last_completed() : restored_id;
-  if (coordinator) {
-    result.checkpoints_completed = coordinator->completed_count();
-    result.checkpoints_failed = coordinator->failed_count();
-  }
-  if (!collectors.empty() &&
-      options.enumerator != EnumeratorKind::kNone) {
-    result.patterns = collectors[0].Patterns();
-    for (std::size_t q = 1; q < collectors.size(); ++q) {
-      result.extra_patterns.push_back(collectors[q].Patterns());
-    }
-  } else {
-    for (auto& collector : collectors) {
-      result.extra_patterns.push_back(collector.Patterns());
+std::vector<flow::ProcessTrace> WorkerFleet::TakeTraces() {
+  std::vector<flow::ProcessTrace> out;
+  for (std::int32_t w = 0; w < count_; ++w) {
+    if (trace_received_[static_cast<std::size_t>(w)] != 0) {
+      out.push_back(std::move(traces_[static_cast<std::size_t>(w)]));
     }
   }
-  result.snapshots = metrics.Collect();
-  if (collect_stats) result.stage_stats = stats_registry.Snapshot();
-  if (sampler) result.time_series = sampler->samples();
-  if (tr != nullptr) {
-    std::vector<flow::ProcessTrace> processes;
-    processes.push_back(flow::ProcessTrace{
-        "coord", 1, tr->Events(), tr->recorded(), tr->dropped()});
-    for (std::int32_t w = 0; w < worker_count; ++w) {
-      if (trace_received[static_cast<std::size_t>(w)] != 0) {
-        processes.push_back(
-            std::move(worker_traces[static_cast<std::size_t>(w)]));
-      }
-    }
-    std::vector<flow::TraceEvent> merged;
-    std::int64_t total_recorded = 0;
-    std::int64_t total_dropped = 0;
-    for (const flow::ProcessTrace& proc : processes) {
-      merged.insert(merged.end(), proc.events.begin(), proc.events.end());
-      total_recorded += proc.recorded;
-      total_dropped += proc.dropped;
-    }
-    result.trace_events = total_recorded;
-    result.trace_dropped = total_dropped;
-    result.worst_snapshots = flow::BuildWorstSnapshotBreakdown(
-        merged, metrics.PerSnapshot(), kWorstSnapshots);
-    if (!options.trace_path.empty()) {
-      std::ofstream out(options.trace_path);
-      COMOVE_CHECK_MSG(out.good(), "cannot open trace_path %s",
-                       options.trace_path.c_str());
-      flow::WriteChromeTraceMerged(processes, out);
-    }
-  }
-  result.avg_cluster_ms = cluster_time.Average();
-  result.avg_enum_ms = enum_time.Average();
-  result.cluster_count = counters.cluster_count.load();
-  result.snapshot_count = counters.snapshot_count.load();
-  result.avg_cluster_size =
-      result.cluster_count > 0
-          ? static_cast<double>(counters.cluster_member_sum.load()) /
-                static_cast<double>(result.cluster_count)
-          : 0.0;
-  result.delta_cells_seen = counters.delta_cells_seen.load();
-  result.delta_cells_replayed = counters.delta_cells_replayed.load();
-  result.delta_dbscan_replays = counters.delta_dbscan_replays.load();
-  result.arena_bytes = counters.arena_bytes.load();
-  result.arena_allocations = counters.arena_allocations.load();
-  result.enum_strings_opened = counters.enum_strings_opened.load();
-  result.enum_strings_closed = counters.enum_strings_closed.load();
-  result.enum_candidates_peak = counters.enum_candidates_peak.load();
-  result.enum_apriori_nodes = counters.enum_apriori_nodes.load();
-  result.enum_apriori_pruned = counters.enum_apriori_pruned.load();
-  return result;
+  return out;
 }
 
 }  // namespace comove::core

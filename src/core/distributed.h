@@ -1,6 +1,7 @@
 #ifndef COMOVE_CORE_DISTRIBUTED_H_
 #define COMOVE_CORE_DISTRIBUTED_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -18,14 +19,16 @@
 /// watermarks, and checkpoint barriers all in-band - so barrier alignment
 /// and exactly-once recovery work unchanged across processes, and a
 /// distributed run emits the bit-identical pattern multiset of a
-/// single-process run at the same parallelism (RunIcpe and
-/// RunIcpeDistributed execute the very same stage bodies from
-/// core/stage_workers.h; only the edges differ).
+/// single-process run at the same parallelism. RunIcpe is the zero-worker
+/// case of the same driver: both entry points run one coordinator over
+/// the very same stage bodies from core/stage_workers.h; only where the
+/// cluster and enumerate subtasks run, and so the edges, differ.
 ///
 /// Control traffic shares the data links: workers ack checkpoints,
 /// report completion progress, ship periodic and final stage-stats
-/// snapshots plus their trace events, and deliver their final counters
-/// and pattern folds back to the coordinator as framed control messages.
+/// snapshots plus their trace events, and deliver their pattern folds
+/// (in chunks of at most about kResultChunkBytes) and final counters back
+/// to the coordinator as framed control messages.
 
 namespace comove::core {
 
@@ -33,6 +36,7 @@ namespace comove::core {
 struct DistributedOptions {
   /// Worker process count; each hosts ~parallelism/workers subtasks of
   /// the cluster and enumerate stages (1 <= workers <= parallelism).
+  /// Zero workers is the in-process deployment RunIcpe runs.
   std::int32_t workers = 2;
   /// "unix" (UNIX-domain stream sockets under /tmp) or "tcp" (loopback
   /// with ephemeral ports).
@@ -48,6 +52,11 @@ struct DistributedOptions {
 /// First argv of a spawned worker process.
 inline constexpr char kNetWorkerFlag[] = "--comove-net-worker";
 
+/// A worker's pattern fold reaches the coordinator as a sequence of
+/// control frames, each closed once it holds this many bytes - far below
+/// the transport's per-frame limit however large the fold grows.
+inline constexpr std::size_t kResultChunkBytes = std::size_t{16} << 20;
+
 /// Runs the pipeline across 1 + workers processes and assembles the same
 /// IcpeResult a single-process run reports. Observability is merged
 /// across the process boundary: stage_stats carry the coordinator rows,
@@ -57,9 +66,8 @@ inline constexpr char kNetWorkerFlag[] = "--comove-net-worker";
 /// timeline with a lane group per process, worker clocks aligned via the
 /// CONFIG handshake.
 ///
-/// Restrictions: join_parallel_cells and on_pattern are not supported
-/// (the cells dataflow is single-process only; live callbacks cannot
-/// cross a process boundary).
+/// Restriction: on_pattern is not supported (live callbacks cannot cross
+/// a process boundary).
 IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
                               const IcpeOptions& options,
                               const DistributedOptions& dist);

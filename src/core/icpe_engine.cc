@@ -3,27 +3,18 @@
 #include <algorithm>
 #include <atomic>
 #include <fstream>
-#include <limits>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
-#include <unordered_map>
+#include <vector>
 
 #include "common/check.h"
-#include "common/serde.h"
-#include "common/stopwatch.h"
 #include "core/completion_tracker.h"
+#include "core/distributed.h"
 #include "core/stage_workers.h"
-#include "core/state_serde.h"
-#include "flow/checkpoint/barrier_aligner.h"
+#include "core/worker_fleet.h"
 #include "flow/checkpoint/coordinator.h"
 #include "flow/exchange.h"
-#include "flow/snapshot_assembler.h"
 #include "flow/task_group.h"
-#include "flow/watermark_aligner.h"
 
 namespace comove::core {
 
@@ -50,7 +41,6 @@ std::string BuildFingerprint(const trajgen::Dataset& dataset,
   // restore a single-process checkpoint and vice versa.
   std::string fp = "records=" + std::to_string(dataset.records.size());
   fp += ";p=" + std::to_string(options.parallelism);
-  fp += ";cells=" + std::to_string(options.join_parallel_cells ? 1 : 0);
   fp += ";clustering=" +
         std::to_string(static_cast<int>(options.clustering));
   fp += ";eps=" + std::to_string(options.cluster_options.join.eps);
@@ -72,24 +62,36 @@ std::string BuildFingerprint(const trajgen::Dataset& dataset,
   return fp;
 }
 
-IcpeResult RunIcpe(const trajgen::Dataset& dataset,
-                   const IcpeOptions& options) {
+namespace {
+
+/// The one pipeline driver. The coordinator side - validation, the query
+/// plan, tracing, stats and sampling, checkpoint restore and
+/// coordination, the source and assembler subtasks, completion tracking,
+/// the collectors and result assembly - is the same for every
+/// deployment. Only where the cluster and enumerate subtasks run
+/// differs: with zero workers they run on this process's threads over
+/// Exchange edges; otherwise in `deployment.workers` spawned processes
+/// over socket edges.
+IcpeResult RunPipeline(const trajgen::Dataset& dataset,
+                       const IcpeOptions& options,
+                       const DistributedOptions& deployment) {
   COMOVE_CHECK(options.parallelism > 0);
   COMOVE_CHECK(options.constraints.IsValid());
   const std::int32_t p = options.parallelism;
-  // Consumers drain up to this many already-queued elements per lock
-  // acquisition; PopBatch never waits to fill a batch, so a larger value
-  // costs no latency.
-  const std::size_t pop_batch_max =
-      std::max<std::size_t>(std::size_t{1}, options.exchange_batch_size);
+  const bool remote = deployment.workers > 0;
+  if (remote) {
+    COMOVE_CHECK_MSG(!options.on_pattern,
+                     "on_pattern cannot cross a process boundary");
+    COMOVE_CHECK_MSG(
+        deployment.transport == "unix" || deployment.transport == "tcp",
+        "transport must be \"unix\" or \"tcp\"");
+    COMOVE_CHECK_MSG(deployment.workers <= p,
+                     "need 1 <= workers <= parallelism");
+  }
 
   // The query set: the primary query (unless kNone) plus extras, all
   // evaluated over one shared cluster stream.
   const QueryPlan plan = BuildQueryPlan(options);
-  const std::vector<PatternQuery>& queries = plan.queries;
-  const bool enumerate = plan.enumerate();
-  const PatternConstraints& partition_constraints =
-      plan.partition_constraints;
 
   // --- Tracing (zero-cost when off: `tr` stays null and every record
   // site is one untaken branch). An explicit recorder wins; a bare
@@ -107,37 +109,16 @@ IcpeResult RunIcpe(const trajgen::Dataset& dataset,
   const bool collect_stats =
       options.collect_stats || options.sample_interval_ms > 0;
 
-  // Declared before the exchanges so the stats outlive every channel
+  // Declared before the edges so the stats outlive every channel
   // holding a pointer into the registry.
   flow::StageStatsRegistry stats_registry;
   auto stats_for = [&](const char* stage) -> flow::StageStats* {
     return collect_stats ? &stats_registry.Get(stage) : nullptr;
   };
-  if (collect_stats && options.join_parallel_cells) {
-    // The grid exchanges are constructed after the partition exchange;
-    // pre-register every stage so the stats table reads in pipeline order.
-    stats_registry.Get("source->assembler");
-    stats_registry.Get("assembler->grid_allocate");
-    stats_registry.Get("grid_allocate->grid_query");
-    stats_registry.Get("allocate/query->grid_sync");
-    stats_registry.Get("grid_sync->enumerate");
-  }
-
-  flow::Exchange<GpsRecord> source_exchange(
-      1, 1, options.channel_capacity, stats_for("source->assembler"));
-  flow::Exchange<Snapshot> snapshot_exchange(
-      1, p, options.channel_capacity,
-      stats_for(options.join_parallel_cells ? "assembler->grid_allocate"
-                                            : "assembler->cluster"));
-  flow::Exchange<pattern::Partition> partition_exchange(
-      p, p, options.channel_capacity,
-      stats_for(options.join_parallel_cells ? "grid_sync->enumerate"
-                                            : "cluster->enumerate"));
-  // Extra exchanges of the Fig. 5 cell-parallel mode (lazily created).
-  std::optional<flow::Exchange<CellMsg>> query_exchange;
-  std::optional<flow::Exchange<SyncMsg>> sync_exchange;
 
   // --- Checkpointing and recovery plumbing (the fault-tolerance layer).
+  // The fingerprint excludes the deployment, so a distributed run
+  // restores a single-process checkpoint and vice versa.
   const bool checkpointing = options.checkpoint_interval > 0;
   if (checkpointing) {
     COMOVE_CHECK_MSG(options.snapshot_store != nullptr,
@@ -163,64 +144,45 @@ IcpeResult RunIcpe(const trajgen::Dataset& dataset,
     }
   }
   const std::int64_t restored_id = restored ? restored->id : 0;
+
+  // --- Edges. The record edge is always local; the two edges into the
+  // cluster and enumerate stages are Exchanges only in process (a remote
+  // deployment's partition edge lives entirely in the workers).
+  flow::Exchange<GpsRecord> source_exchange(
+      1, 1, options.channel_capacity, stats_for("source->assembler"));
+  std::optional<flow::Exchange<Snapshot>> snapshot_exchange;
+  std::optional<flow::Exchange<pattern::Partition>> partition_exchange;
+  if (!remote) {
+    snapshot_exchange.emplace(1, p, options.channel_capacity,
+                              stats_for("assembler->cluster"));
+    partition_exchange.emplace(p, p, options.channel_capacity,
+                               stats_for("cluster->enumerate"));
+  }
+
   std::optional<flow::CheckpointCoordinator> coordinator;
   if (checkpointing) {
-    const std::int32_t expected_acks =
-        2 + (options.join_parallel_cells ? 3 * p : p) +
-        (enumerate ? p : 0);
+    const std::int32_t expected_acks = 2 + p + (plan.enumerate() ? p : 0);
     coordinator.emplace(expected_acks, options.snapshot_store, fingerprint,
                         stats_for("checkpoint"), restored_id);
   }
   FaultInjector injector(options.fault);
   std::atomic<bool> crashed{false};
 
-  flow::StageStats* const assembler_stats = stats_for("source->assembler");
-  flow::StageStats* const enumerate_stats =
-      enumerate ? stats_for(options.join_parallel_cells
-                                ? "grid_sync->enumerate"
-                                : "cluster->enumerate")
-                : nullptr;
-
   flow::SnapshotMetrics metrics;
   // Tracing ranks the worst snapshots by measured latency, which needs
   // the individual values, not just the histogram.
   if (tr != nullptr) metrics.KeepPerSnapshot(true);
   CompletionTracker tracker(p);
-  TimeAccumulator cluster_time;
-  TimeAccumulator enum_time;
-  PipelineCounters counters;
+  StageResults results(plan.queries.size());
 
-  std::mutex collector_mu;
-  std::vector<pattern::PatternCollector> collectors(queries.size());
-  // One sink per query, all sharing the mutex and the optional callback.
-  auto make_sink = [&](std::size_t query) {
-    return [&collectors, &collector_mu, &options,
-            query](const CoMovementPattern& pat) {
-      std::lock_guard<std::mutex> lock(collector_mu);
-      collectors[query].Add(pat);
-      if (options.on_pattern) options.on_pattern(pat);
-    };
-  };
-
-  // --- The deployment-independent subtask environment (see
-  // core/stage_workers.h). This single-process deployment cancels every
-  // exchange on a crash and acks straight into the coordinator.
+  // --- The subtask environment of this process. Acks go straight into
+  // the coordinator; completion progress marks snapshots answered.
   StageEnv env;
   env.options = &options;
+  env.plan = &plan;
   env.tr = tr;
   env.injector = &injector;
   env.crashed = &crashed;
-  // Simulates a process kill: every channel is cancelled so blocked
-  // producers and consumers unwind instead of deadlocking on
-  // backpressure, and all in-flight data is dropped.
-  env.crash_all = [&] {
-    crashed.store(true);
-    source_exchange.Cancel();
-    snapshot_exchange.Cancel();
-    partition_exchange.Cancel();
-    if (query_exchange) query_exchange->Cancel();
-    if (sync_exchange) sync_exchange->Cancel();
-  };
   // Snapshot-bytes accounting goes on the acking operator's input-exchange
   // row; the coordinator separately totals persisted bytes under
   // "checkpoint".
@@ -241,490 +203,78 @@ IcpeResult RunIcpe(const trajgen::Dataset& dataset,
                            std::int32_t subtask) -> const std::string* {
     return restored ? restored->Find(op, subtask) : nullptr;
   };
-  env.checkpointing = checkpointing;
-  env.restored_id = restored_id;
-  env.pop_batch_max = pop_batch_max;
-
-  // Completion progress: both the clustering-only and the enumeration
-  // paths mark snapshots answered through the same tracker.
-  ProgressFn progress = [&](std::int32_t worker, Timestamp through) {
+  env.progress = [&](std::int32_t worker, Timestamp through) {
     for (const Timestamp done : tracker.Update(worker, through)) {
       metrics.MarkComplete(done);
     }
   };
+  env.checkpointing = checkpointing;
+  env.transactional = checkpointing || restored.has_value();
+  env.restored_id = restored_id;
+  // Consumers drain up to this many already-queued elements per lock
+  // acquisition; PopBatch never waits to fill a batch, so a larger value
+  // costs no latency.
+  env.pop_batch_max =
+      std::max<std::size_t>(std::size_t{1}, options.exchange_batch_size);
 
-  // Stage environments outlive the task group (workers hold references).
-  ClusterStageEnv cluster_env;
-  cluster_env.cluster_time = &cluster_time;
-  cluster_env.counters = &counters;
-  cluster_env.cluster_stats = options.join_parallel_cells
-                                  ? nullptr
-                                  : stats_for("assembler->cluster");
-  cluster_env.partition_constraints = &partition_constraints;
-  cluster_env.enumerate = enumerate;
-  cluster_env.progress = progress;
+  // Simulates a process kill: every local channel is cancelled so blocked
+  // producers and consumers unwind instead of deadlocking on
+  // backpressure, and all in-flight data is dropped.
+  env.crash_all = [&] {
+    crashed.store(true);
+    source_exchange.Cancel();
+    if (snapshot_exchange) snapshot_exchange->Cancel();
+    if (partition_exchange) partition_exchange->Cancel();
+  };
 
-  EnumerateStageEnv enumerate_env;
-  enumerate_env.queries = &queries;
-  enumerate_env.enum_time = &enum_time;
-  enumerate_env.counters = &counters;
-  enumerate_env.enumerate_stats = enumerate_stats;
-  enumerate_env.producers = p;
-  enumerate_env.transactional = checkpointing || restored.has_value();
-  enumerate_env.direct_sink = make_sink;
-  if (options.on_pattern) {
-    enumerate_env.on_pattern = [&](const CoMovementPattern& pat) {
-      std::lock_guard<std::mutex> lock(collector_mu);
-      options.on_pattern(pat);
-    };
+  std::optional<WorkerFleet> fleet;
+  if (remote) {
+    fleet.emplace(deployment, env, restored ? &*restored : nullptr,
+                  collect_stats ? &stats_registry : nullptr, &results,
+                  coordinator ? &*coordinator : nullptr);
   }
-  enumerate_env.commit =
-      [&](std::vector<pattern::PatternCollector>&& logs) {
-        std::lock_guard<std::mutex> lock(collector_mu);
-        for (std::size_t q = 0; q < queries.size(); ++q) {
-          for (const CoMovementPattern& pat : logs[q].Patterns()) {
-            collectors[q].Add(pat);
-          }
-        }
-      };
-  enumerate_env.progress = progress;
+  flow::Transport<Snapshot>& snapshots =
+      remote ? fleet->snapshots() : *snapshot_exchange;
 
   // Live time-series sampling runs for the whole pipeline lifetime,
-  // including the drain; stopped (and joined) right after JoinAll.
+  // including the drain; stopped (and joined) once every stage is done.
   std::optional<flow::MetricsSampler> sampler;
   if (options.sample_interval_ms > 0) {
     sampler.emplace(stats_registry, options.sample_interval_ms);
     sampler->Start();
   }
 
-  flow::TaskGroup tasks;
-
-  // --- Source: replays records with birth-bound watermarks, either in
-  // time order or deterministically shuffled inside a sliding window (the
-  // §4 synchronisation then has to reassemble the chains downstream).
-  tasks.Spawn([&] { RunSourceSubtask(dataset, env, source_exchange); });
-
-  // --- Assembler: §4 last-time synchronisation into snapshots.
-  tasks.Spawn([&] {
-    RunAssemblerSubtask(env, source_exchange.channel(0), snapshot_exchange,
-                        &metrics, &tracker, &counters, assembler_stats);
-  });
-
-  // Shared post-clustering actions of the cell-parallel mode (the
-  // snapshot-parallel equivalents live inside RunClusterSubtask).
-  auto record_cluster_stats = [&](const ClusterSnapshot& clustered) {
-    for (const Cluster& c : clustered.clusters) {
-      counters.cluster_count.fetch_add(1, std::memory_order_relaxed);
-      counters.cluster_member_sum.fetch_add(
-          static_cast<std::int64_t>(c.members.size()),
-          std::memory_order_relaxed);
+  {
+    flow::TaskGroup tasks;
+    // Source: replays records with birth-bound watermarks, in time order
+    // or shuffled inside a sliding window.
+    tasks.Spawn([&] { RunSourceSubtask(dataset, env, source_exchange); });
+    // Assembler: §4 last-time synchronisation into snapshots.
+    tasks.Spawn([&] {
+      RunAssemblerSubtask(env, source_exchange.channel(0), snapshots,
+                          &metrics, &tracker, &results.counters,
+                          stats_for("source->assembler"));
+    });
+    if (!remote) {
+      SpawnStageSubtasks(tasks, 0, p, env, results, *snapshot_exchange,
+                         stats_for("assembler->cluster"),
+                         *partition_exchange,
+                         stats_for("cluster->enumerate"));
     }
-  };
-  // Each clustering worker owns a BatchingSender over the partition
-  // exchange (partitions are the highest-fanout payload: one per cluster
-  // member set per snapshot), so the shared lambdas take the sender.
-  auto route_partitions = [&](flow::BatchingSender<pattern::Partition>& out,
-                              const ClusterSnapshot& clustered) {
-    for (pattern::Partition& part :
-         pattern::MakePartitions(clustered, partition_constraints)) {
-      const std::size_t target = OwnerPartition(part.owner, p);
-      out.Send(target, std::move(part));
-    }
-  };
-  auto clustering_progress =
-      [&](flow::BatchingSender<pattern::Partition>& out,
-          std::int32_t worker, Timestamp w) {
-        if (enumerate) {
-          out.BroadcastWatermark(w);
-        } else {
-          progress(worker, w);
-        }
-      };
-
-  if (!options.join_parallel_cells) {
-    // --- Cluster workers: snapshot-parallel indexed clustering (§5.3).
-    tasks.SpawnIndexed(p, [&](std::int32_t worker) {
-      RunClusterSubtask(worker, env, cluster_env,
-                        snapshot_exchange.channel(worker),
-                        partition_exchange);
-    });
-  } else {
-    // --- The literal Fig. 5 dataflow: GridAllocate -> cell-keyed
-    // GridQuery -> GridSync + DBSCAN, each a parallel stage.
-    COMOVE_CHECK_MSG(
-        options.clustering != cluster::ClusteringMethod::kGDC,
-        "join_parallel_cells supports the GR-index methods (RJC/SRJ)");
-    const bool use_lemmas =
-        options.clustering == cluster::ClusteringMethod::kRJC;
-    query_exchange.emplace(p, p, options.channel_capacity,
-                           stats_for("grid_allocate->grid_query"));
-    sync_exchange.emplace(2 * p, p, options.channel_capacity,
-                          stats_for("allocate/query->grid_sync"));
-
-    flow::StageStats* const allocate_stats =
-        stats_for("assembler->grid_allocate");
-    flow::StageStats* const grid_query_stats =
-        stats_for("grid_allocate->grid_query");
-    flow::StageStats* const grid_sync_stats =
-        stats_for("allocate/query->grid_sync");
-
-    // GridAllocate subtasks: replicate locations into GridObjects and
-    // forward the raw snapshot to the sync stage for DBSCAN.
-    tasks.SpawnIndexed(p, [&, allocate_stats](std::int32_t worker) {
-      const GridKeyHash cell_hash;
-      // CellMsg is the highest-volume payload in this mode (every object
-      // replicated per overlapped cell), so its sends are batched; the
-      // objects vector is reused across snapshots.
-      flow::BatchingSender<CellMsg> cell_sender(*query_exchange, worker,
-                                                options.exchange_batch_size,
-                                                tr, "cells");
-      std::vector<cluster::GridObject> objects;
-      // Grid geometry derived (and the cell width validated) once per
-      // worker, not once per snapshot.
-      const GridIndex grid(options.cluster_options.join.grid_cell_width);
-      auto& input = snapshot_exchange.channel(worker);
-      while (auto element = input.Pop()) {
-        if (element->is_data()) {
-          const Timestamp t = element->data.time;
-          Stopwatch watch;
-          const std::uint64_t t0 = tr != nullptr ? tr->NowNs() : 0;
-          cluster::GridAllocate(element->data, grid,
-                                options.cluster_options.join.eps,
-                                use_lemmas, objects);
-          cluster_time.Add(watch.ElapsedMillis());
-          if (tr != nullptr) {
-            tr->RecordSpanSince("join", "allocate", worker, t, t0);
-          }
-          for (cluster::GridObject& object : objects) {
-            const std::size_t target =
-                cell_hash(object.key) % static_cast<std::size_t>(p);
-            cell_sender.Send(target, CellMsg{t, std::move(object)});
-          }
-          SyncMsg msg;
-          msg.time = t;
-          msg.is_snapshot = true;
-          msg.snapshot = std::move(element->data);
-          sync_exchange->Send(worker,
-                              static_cast<std::size_t>(t) %
-                                  static_cast<std::size_t>(p),
-                              std::move(msg));
-        } else if (element->is_barrier()) {
-          // Single producer, stateless stage: ack empty and fan the
-          // barrier out on both output exchanges.
-          const std::int64_t id = element->checkpoint;
-          env.ack(id, "grid_allocate", worker, std::string(),
-                  allocate_stats);
-          cell_sender.BroadcastBarrier(id);
-          sync_exchange->BroadcastBarrier(worker, id);
-        } else {
-          cell_sender.BroadcastWatermark(element->watermark);
-          sync_exchange->BroadcastWatermark(worker, element->watermark);
-        }
-      }
-      cell_sender.Close();
-      sync_exchange->CloseProducer(worker);
-    });
-
-    // GridQuery subtasks: per-cell Algorithm 2 once a snapshot's objects
-    // are complete (aligned watermark), then ship the neighbour stream.
-    tasks.SpawnIndexed(p, [&, grid_query_stats](std::int32_t worker) {
-      flow::WatermarkAligner aligner(p);
-      std::map<Timestamp,
-               std::unordered_map<GridKey, std::vector<cluster::GridObject>,
-                                  GridKeyHash>>
-          cells_by_time;
-      // One kernel scratch per worker, reused across cells: the R-tree
-      // path recycles its pages (RTree::Clear), the sweep path its SoA
-      // columns - steady state allocates nothing either way.
-      cluster::CellQueryScratch cell_scratch;
-      // Per-worker delta cache (incremental mode). The cell-keyed
-      // exchange pins every cell to one GridQuery subtask and the aligned
-      // watermarks process times in order, so a cell's cached bucket is
-      // exactly its contents at the last snapshot that occupied it.
-      // Derived state: never checkpointed, so recovery starts it cold.
-      cluster::CellDeltaCache delta_cache;
-      const bool incremental = options.cluster_options.join.incremental;
-      if (const std::string* bytes =
-              env.restored_state("grid_query", worker)) {
-        BinaryReader reader(*bytes);
-        COMOVE_CHECK_MSG(aligner.RestoreState(&reader),
-                         "corrupt grid_query checkpoint");
-        const std::uint64_t times = reader.ReadU64();
-        for (std::uint64_t i = 0; i < times && reader.ok(); ++i) {
-          const auto t = static_cast<Timestamp>(reader.ReadI64());
-          const std::uint64_t objects = reader.ReadU64();
-          for (std::uint64_t j = 0; j < objects && reader.ok(); ++j) {
-            cluster::GridObject object = ReadGridObject(&reader);
-            cells_by_time[t][object.key].push_back(std::move(object));
-          }
-        }
-        COMOVE_CHECK_MSG(reader.ok() && reader.AtEnd(),
-                         "corrupt grid_query checkpoint");
-      }
-      auto process_through = [&](Timestamp w) {
-        while (!cells_by_time.empty() &&
-               cells_by_time.begin()->first <= w) {
-          const Timestamp t = cells_by_time.begin()->first;
-          Stopwatch watch;
-          const std::uint64_t t0 = tr != nullptr ? tr->NowNs() : 0;
-          std::vector<NeighborPair> pairs;
-          // Once-per-snapshot arena rewind of the sweep kernel's columns
-          // (mirrors RunJoin in the snapshot-parallel path).
-          cell_scratch.sweep.BeginSnapshot();
-          if (incremental) delta_cache.BeginSnapshot();
-          for (auto& [key, objects] : cells_by_time.begin()->second) {
-            if (incremental) {
-              delta_cache.QueryCell(objects, key,
-                                    options.cluster_options.join,
-                                    use_lemmas, cell_scratch, pairs);
-            } else {
-              cluster::GridQuery(objects, options.cluster_options.join,
-                                 use_lemmas, cell_scratch, pairs);
-            }
-          }
-          if (incremental) delta_cache.EndSnapshot();
-          cluster_time.Add(watch.ElapsedMillis());
-          if (tr != nullptr) {
-            tr->RecordSpanSince("join", "cell_query", worker, t, t0);
-          }
-          SyncMsg msg;
-          msg.time = t;
-          msg.pairs = std::move(pairs);
-          sync_exchange->Send(p + worker,
-                              static_cast<std::size_t>(t) %
-                                  static_cast<std::size_t>(p),
-                              std::move(msg));
-          cells_by_time.erase(cells_by_time.begin());
-        }
-      };
-      auto handle = [&](flow::Element<CellMsg>&& element) {
-        if (element.is_data()) {
-          cells_by_time[element.data.time][element.data.object.key]
-              .push_back(std::move(element.data.object));
-        } else if (auto advanced = aligner.Update(element.producer,
-                                                  element.watermark)) {
-          process_through(*advanced);
-          sync_exchange->BroadcastWatermark(p + worker, *advanced);
-        }
-      };
-      // The aligned cut: every pre-barrier object or watermark of every
-      // producer has been absorbed above; what is not yet queried sits in
-      // cells_by_time and is saved verbatim.
-      auto on_checkpoint = [&](std::int64_t id) {
-        std::string state;
-        BinaryWriter writer(&state);
-        aligner.SaveState(&writer);
-        std::uint64_t total = 0;
-        writer.WriteU64(cells_by_time.size());
-        for (const auto& [t, cells] : cells_by_time) {
-          writer.WriteI64(t);
-          total = 0;
-          for (const auto& [key, objects] : cells) total += objects.size();
-          writer.WriteU64(total);
-          for (const auto& [key, objects] : cells) {
-            for (const cluster::GridObject& object : objects) {
-              WriteGridObject(&writer, object);
-            }
-          }
-        }
-        env.ack(id, "grid_query", worker, std::move(state),
-                grid_query_stats);
-        sync_exchange->BroadcastBarrier(p + worker, id);
-        return true;
-      };
-      flow::BarrierAligner<CellMsg> barriers(p, restored_id,
-                                             grid_query_stats, tr, worker);
-      auto& input = query_exchange->channel(worker);
-      std::vector<flow::Element<CellMsg>> batch;
-      while (input.PopBatch(batch, pop_batch_max) > 0) {
-        for (flow::Element<CellMsg>& element : batch) {
-          if (checkpointing) {
-            barriers.OnElement(std::move(element), handle, on_checkpoint);
-          } else {
-            handle(std::move(element));
-          }
-        }
-      }
-      if (!crashed.load()) process_through(kEndOfStreamTime);
-      counters.delta_cells_seen.fetch_add(
-          static_cast<std::int64_t>(delta_cache.cells_seen),
-          std::memory_order_relaxed);
-      counters.delta_cells_replayed.fetch_add(
-          static_cast<std::int64_t>(delta_cache.cells_replayed),
-          std::memory_order_relaxed);
-      counters.arena_bytes.fetch_add(
-          static_cast<std::int64_t>(cell_scratch.sweep.arena.block_bytes()),
-          std::memory_order_relaxed);
-      counters.arena_allocations.fetch_add(
-          static_cast<std::int64_t>(
-              cell_scratch.sweep.arena.allocations()),
-          std::memory_order_relaxed);
-      sync_exchange->CloseProducer(p + worker);
-    });
-
-    // GridSync + DBSCAN subtasks: merge per-cell neighbour streams with
-    // the raw snapshot, cluster, and hand off to enumeration.
-    tasks.SpawnIndexed(p, [&, record_cluster_stats, route_partitions,
-                           clustering_progress,
-                           grid_sync_stats](std::int32_t worker) {
-      flow::BatchingSender<pattern::Partition> partition_sender(
-          partition_exchange, worker, options.exchange_batch_size, tr,
-          "partitions");
-      flow::WatermarkAligner aligner(2 * p);
-      struct PendingTime {
-        bool have_snapshot = false;
-        Snapshot snapshot;
-        std::vector<NeighborPair> pairs;
-      };
-      std::map<Timestamp, PendingTime> buffer;
-      // DBSCAN interning/CSR buffers, reused across this worker's
-      // snapshots, plus the GridSync sort's radix scratch.
-      cluster::DbscanScratch dbscan_scratch;
-      cluster::PairSortScratch sort_scratch;
-      // Whole-snapshot DBSCAN memo (incremental mode): this worker sees
-      // every p-th snapshot time, so the memo compares against the last
-      // snapshot it clustered. Derived state - recovery starts it cold.
-      cluster::DbscanMemo dbscan_memo;
-      const bool incremental = options.cluster_options.join.incremental;
-      if (const std::string* bytes =
-              env.restored_state("grid_sync", worker)) {
-        BinaryReader reader(*bytes);
-        COMOVE_CHECK_MSG(aligner.RestoreState(&reader),
-                         "corrupt grid_sync checkpoint");
-        const std::uint64_t times = reader.ReadU64();
-        for (std::uint64_t i = 0; i < times && reader.ok(); ++i) {
-          const auto t = static_cast<Timestamp>(reader.ReadI64());
-          PendingTime& pending = buffer[t];
-          pending.have_snapshot = reader.ReadBool();
-          pending.snapshot = ReadSnapshot(&reader);
-          const std::uint64_t pairs = reader.ReadU64();
-          for (std::uint64_t j = 0; j < pairs && reader.ok(); ++j) {
-            pending.pairs.push_back(ReadNeighborPair(&reader));
-          }
-        }
-        COMOVE_CHECK_MSG(reader.ok() && reader.AtEnd(),
-                         "corrupt grid_sync checkpoint");
-      }
-      auto process_through = [&](Timestamp w) {
-        while (!buffer.empty() && buffer.begin()->first <= w) {
-          const Timestamp t = buffer.begin()->first;
-          PendingTime pending = std::move(buffer.begin()->second);
-          buffer.erase(buffer.begin());
-          COMOVE_CHECK_MSG(pending.have_snapshot,
-                           "neighbour pairs arrived for a snapshot that "
-                           "never did");
-          Stopwatch watch;
-          const std::uint64_t t0 = tr != nullptr ? tr->NowNs() : 0;
-          // GridSync: canonical order + dedup (required for the SRJ
-          // variant, a no-op for RJC with both lemmas).
-          cluster::SortUniquePairs(pending.pairs, sort_scratch,
-                                   options.cluster_options.join.simd);
-          const ClusterSnapshot clustered =
-              incremental
-                  ? cluster::DbscanFromNeighborsCached(
-                        pending.snapshot, pending.pairs,
-                        options.cluster_options.dbscan, dbscan_scratch,
-                        dbscan_memo)
-                  : cluster::DbscanFromNeighbors(
-                        pending.snapshot, pending.pairs,
-                        options.cluster_options.dbscan, dbscan_scratch);
-          cluster_time.Add(watch.ElapsedMillis());
-          if (tr != nullptr) {
-            // Covers the GridSync merge (sort + dedup) and the DBSCAN
-            // pass - the whole per-snapshot cost of this stage.
-            tr->RecordSpanSince("dbscan", "sync_dbscan", worker, t, t0);
-          }
-          record_cluster_stats(clustered);
-          if (enumerate) route_partitions(partition_sender, clustered);
-        }
-      };
-      auto handle = [&](flow::Element<SyncMsg>&& element) {
-        if (element.is_data()) {
-          PendingTime& pending = buffer[element.data.time];
-          if (element.data.is_snapshot) {
-            pending.have_snapshot = true;
-            pending.snapshot = std::move(element.data.snapshot);
-          } else {
-            pending.pairs.insert(pending.pairs.end(),
-                                 element.data.pairs.begin(),
-                                 element.data.pairs.end());
-          }
-        } else if (auto advanced = aligner.Update(element.producer,
-                                                  element.watermark)) {
-          process_through(*advanced);
-          clustering_progress(partition_sender, worker, *advanced);
-        }
-      };
-      bool alive = true;
-      auto on_checkpoint = [&](std::int64_t id) {
-        // This stage is the crash site for "cluster" faults in cells
-        // mode: the snapshot below is never taken, so checkpoint `id`
-        // cannot complete.
-        if (injector.ShouldCrash("cluster", worker, id)) {
-          env.crash_all();
-          alive = false;
-          return false;
-        }
-        std::string state;
-        BinaryWriter writer(&state);
-        aligner.SaveState(&writer);
-        writer.WriteU64(buffer.size());
-        for (const auto& [t, pending] : buffer) {
-          writer.WriteI64(t);
-          writer.WriteBool(pending.have_snapshot);
-          WriteSnapshot(&writer, pending.snapshot);
-          writer.WriteU64(pending.pairs.size());
-          for (const NeighborPair& pair : pending.pairs) {
-            WriteNeighborPair(&writer, pair);
-          }
-        }
-        env.ack(id, "grid_sync", worker, std::move(state),
-                grid_sync_stats);
-        if (enumerate) partition_sender.BroadcastBarrier(id);
-        return true;
-      };
-      flow::BarrierAligner<SyncMsg> barriers(2 * p, restored_id,
-                                             grid_sync_stats, tr, worker);
-      auto& input = sync_exchange->channel(worker);
-      while (alive) {
-        auto element = input.Pop();
-        if (!element) break;
-        if (checkpointing) {
-          barriers.OnElement(std::move(*element), handle, on_checkpoint);
-        } else {
-          handle(std::move(*element));
-        }
-      }
-      if (!crashed.load()) process_through(kEndOfStreamTime);
-      counters.delta_dbscan_replays.fetch_add(
-          static_cast<std::int64_t>(dbscan_memo.replays),
-          std::memory_order_relaxed);
-      counters.arena_bytes.fetch_add(
-          static_cast<std::int64_t>(dbscan_scratch.arena.block_bytes()),
-          std::memory_order_relaxed);
-      counters.arena_allocations.fetch_add(
-          static_cast<std::int64_t>(dbscan_scratch.arena.allocations()),
-          std::memory_order_relaxed);
-      if (enumerate) partition_sender.Close();
-    });
+    tasks.JoinAll();
   }
-
-  // --- Enumeration workers: id-partitioned BA / FBA / VBA.
-  if (enumerate) {
-    tasks.SpawnIndexed(p, [&](std::int32_t worker) {
-      RunEnumerateSubtask(worker, env, enumerate_env,
-                          partition_exchange.channel(worker));
-    });
-  }
-
-  tasks.JoinAll();
+  if (fleet && !fleet->Finish()) crashed.store(true);
   if (sampler) sampler->Stop();
   const bool was_crashed = crashed.load();
   if (!was_crashed) {
     COMOVE_CHECK_MSG(tracker.pending() == 0,
                      "pipeline drained with incomplete snapshots");
+    if (fleet) fleet->CheckObservabilityShipped();
   }
 
+  // --- Result assembly. With workers, stage_stats also carry every
+  // worker's rows (prefixed "w<i>:") and the trace gets one lane group
+  // per process.
   IcpeResult result;
   result.crashed = was_crashed;
   result.last_checkpoint_id =
@@ -733,6 +283,7 @@ IcpeResult RunIcpe(const trajgen::Dataset& dataset,
     result.checkpoints_completed = coordinator->completed_count();
     result.checkpoints_failed = coordinator->failed_count();
   }
+  std::vector<pattern::PatternCollector>& collectors = results.collectors;
   if (!collectors.empty() &&
       options.enumerator != EnumeratorKind::kNone) {
     result.patterns = collectors[0].Patterns();
@@ -749,20 +300,37 @@ IcpeResult RunIcpe(const trajgen::Dataset& dataset,
   if (collect_stats) result.stage_stats = stats_registry.Snapshot();
   if (sampler) result.time_series = sampler->samples();
   if (tr != nullptr) {
-    // Workers are joined: the recorder is quiesced and safe to read.
-    result.trace_events = tr->recorded();
-    result.trace_dropped = tr->dropped();
+    // Every stage is joined: the recorder is quiesced and safe to read.
+    std::vector<flow::ProcessTrace> processes;
+    processes.push_back(flow::ProcessTrace{"coord", 1, tr->Events(),
+                                           tr->recorded(), tr->dropped()});
+    if (fleet) {
+      for (flow::ProcessTrace& proc : fleet->TakeTraces()) {
+        processes.push_back(std::move(proc));
+      }
+    }
+    std::vector<flow::TraceEvent> merged;
+    for (const flow::ProcessTrace& proc : processes) {
+      merged.insert(merged.end(), proc.events.begin(), proc.events.end());
+      result.trace_events += proc.recorded;
+      result.trace_dropped += proc.dropped;
+    }
     result.worst_snapshots = flow::BuildWorstSnapshotBreakdown(
-        tr->Events(), metrics.PerSnapshot(), kWorstSnapshots);
+        merged, metrics.PerSnapshot(), kWorstSnapshots);
     if (!options.trace_path.empty()) {
       std::ofstream out(options.trace_path);
       COMOVE_CHECK_MSG(out.good(), "cannot open trace_path %s",
                        options.trace_path.c_str());
-      tr->WriteChromeTrace(out);
+      if (fleet) {
+        flow::WriteChromeTraceMerged(processes, out);
+      } else {
+        tr->WriteChromeTrace(out);
+      }
     }
   }
-  result.avg_cluster_ms = cluster_time.Average();
-  result.avg_enum_ms = enum_time.Average();
+  const PipelineCounters& counters = results.counters;
+  result.avg_cluster_ms = results.cluster_time.Average();
+  result.avg_enum_ms = results.enum_time.Average();
   result.cluster_count = counters.cluster_count.load();
   result.snapshot_count = counters.snapshot_count.load();
   result.avg_cluster_size =
@@ -781,6 +349,20 @@ IcpeResult RunIcpe(const trajgen::Dataset& dataset,
   result.enum_apriori_nodes = counters.enum_apriori_nodes.load();
   result.enum_apriori_pruned = counters.enum_apriori_pruned.load();
   return result;
+}
+
+}  // namespace
+
+IcpeResult RunIcpe(const trajgen::Dataset& dataset,
+                   const IcpeOptions& options) {
+  return RunPipeline(dataset, options, DistributedOptions{.workers = 0});
+}
+
+IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
+                              const IcpeOptions& options,
+                              const DistributedOptions& dist) {
+  COMOVE_CHECK_MSG(dist.workers >= 1, "need 1 <= workers <= parallelism");
+  return RunPipeline(dataset, options, dist);
 }
 
 }  // namespace comove::core

@@ -65,24 +65,14 @@ struct IcpeOptions {
   std::size_t channel_capacity = 128;  ///< pipelined backpressure depth
 
   /// Producer-side transfer batch on the pipeline's high-volume exchanges
-  /// (records, replicated grid objects, id partitions): each producer
-  /// accumulates up to this many elements per destination before one
-  /// PushBatch moves them under a single lock round-trip - Flink's
-  /// buffer-oriented network transfer, which the per-element baseline
-  /// forgoes. Watermarks flush pending data first, so batching never
-  /// reorders a record past its watermark and results are bit-identical
-  /// for every value. 1 disables batching (the true per-element path).
+  /// (records and id partitions): each producer accumulates up to this
+  /// many elements per destination before one PushBatch moves them
+  /// under a single lock round-trip - Flink's buffer-oriented network
+  /// transfer, which the per-element baseline forgoes. Watermarks flush
+  /// pending data first, so batching never reorders a record past its
+  /// watermark and results are bit-identical for every value. 1 disables
+  /// batching (the true per-element path).
   std::size_t exchange_batch_size = 64;
-
-  /// Clustering execution mode. `false` (default) parallelises across
-  /// snapshots, which §5.3 endorses ("we achieve the parallelism by
-  /// clustering snapshots separately"). `true` runs the literal Fig. 5
-  /// dataflow instead: GridAllocate subtasks ship GridObjects through a
-  /// cell-keyed exchange to GridQuery subtasks, whose neighbour streams a
-  /// GridSync/DBSCAN stage merges per snapshot. Only supported for the
-  /// GR-index methods (kRJC/kSRJ); it exposes the per-cell shuffle volume
-  /// the paper's Flink deployment pays.
-  bool join_parallel_cells = false;
 
   /// When > 0, the replay source delivers records *out of order* within a
   /// sliding window of this many time units (deterministically shuffled
@@ -170,9 +160,9 @@ struct IcpeResult {
   std::vector<std::vector<CoMovementPattern>> extra_patterns;
   flow::RunMetrics snapshots;      ///< latency (avg/max/p50/p95/p99) + tps
   /// Per-exchange counters in pipeline order (source -> assembler ->
-  /// cluster or grid stages -> enumerate); empty unless
-  /// IcpeOptions::collect_stats was set. See flow::StageStatsSnapshot for
-  /// how to read a backpressure report.
+  /// cluster -> enumerate); empty unless IcpeOptions::collect_stats was
+  /// set. See flow::StageStatsSnapshot for how to read a backpressure
+  /// report.
   std::vector<flow::StageStatsSnapshot> stage_stats;
   double avg_cluster_ms = 0.0;     ///< mean per-snapshot clustering compute
   double avg_enum_ms = 0.0;        ///< mean per-tick enumeration compute
@@ -203,11 +193,11 @@ struct IcpeResult {
   std::int64_t enum_apriori_nodes = 0;
   std::int64_t enum_apriori_pruned = 0;
 
-  /// Arena-backed scratch footprint, summed over every cluster/query/sync
-  /// worker as it exits: retained arena bytes and lifetime bump-allocation
-  /// count. In steady state allocations stays flat per snapshot (the
-  /// arenas rewind instead of reallocating); per-snapshot heap churn
-  /// regressions show up as growth here.
+  /// Arena-backed scratch footprint, summed over every cluster worker as
+  /// it exits: retained arena bytes and lifetime bump-allocation count.
+  /// In steady state allocations stays flat per snapshot (the arenas
+  /// rewind instead of reallocating); per-snapshot heap churn regressions
+  /// show up as growth here.
   std::int64_t arena_bytes = 0;
   std::int64_t arena_allocations = 0;
 
@@ -236,7 +226,9 @@ struct IcpeResult {
 std::string BuildFingerprint(const trajgen::Dataset& dataset,
                              const IcpeOptions& options);
 
-/// Runs the full ICPE pipeline over a dataset replayed as a stream.
+/// Runs the full ICPE pipeline over a dataset replayed as a stream, in
+/// this process: the zero-worker deployment of the driver that
+/// RunIcpeDistributed (core/distributed.h) runs with worker processes.
 /// Thread usage: 2 + 2 * parallelism workers for the run's duration.
 IcpeResult RunIcpe(const trajgen::Dataset& dataset,
                    const IcpeOptions& options);

@@ -237,13 +237,15 @@ void RunAssemblerSubtask(const StageEnv& env,
 }
 
 void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
-                       const ClusterStageEnv& cenv,
+                       StageResults& results, flow::StageStats* ack_stats,
                        flow::Channel<flow::Element<Snapshot>>& input,
                        flow::Transport<pattern::Partition>& out) {
   const IcpeOptions& options = *env.options;
+  const QueryPlan& plan = *env.plan;
+  const bool enumerate = plan.enumerate();
   flow::TraceRecorder* const tr = env.tr;
   const std::int32_t p = out.consumers();
-  PipelineCounters& counters = *cenv.counters;
+  PipelineCounters& counters = results.counters;
   flow::BatchingSender<pattern::Partition> partition_sender(
       out, worker, options.exchange_batch_size, tr, "partitions");
   // Join + DBSCAN working memory, reused across this worker's snapshots.
@@ -257,7 +259,7 @@ void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
       const ClusterSnapshot clustered = cluster::ClusterSnapshotWith(
           options.clustering, element->data, options.cluster_options,
           scratch, tr != nullptr ? &phases : nullptr);
-      cenv.cluster_time->Add(watch.ElapsedMillis());
+      results.cluster_time.Add(watch.ElapsedMillis());
       if (tr != nullptr) {
         // The two phases tile the clustering call: join first, then
         // DBSCAN back-dated to start where the join ended.
@@ -272,9 +274,9 @@ void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
             static_cast<std::int64_t>(c.members.size()),
             std::memory_order_relaxed);
       }
-      if (cenv.enumerate) {
-        for (pattern::Partition& part : pattern::MakePartitions(
-                 clustered, *cenv.partition_constraints)) {
+      if (enumerate) {
+        for (pattern::Partition& part :
+             pattern::MakePartitions(clustered, plan.partition_constraints)) {
           const std::size_t target = OwnerPartition(part.owner, p);
           partition_sender.Send(target, std::move(part));
         }
@@ -288,14 +290,14 @@ void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
         env.crash_all();
         return;
       }
-      env.ack(id, "cluster", worker, std::string(), cenv.cluster_stats);
-      if (cenv.enumerate) partition_sender.BroadcastBarrier(id);
+      env.ack(id, "cluster", worker, std::string(), ack_stats);
+      if (enumerate) partition_sender.BroadcastBarrier(id);
     } else {
       // All of this worker's snapshots <= watermark are done (FIFO).
-      if (cenv.enumerate) {
+      if (enumerate) {
         partition_sender.BroadcastWatermark(element->watermark);
       } else {
-        cenv.progress(worker, element->watermark);
+        env.progress(worker, element->watermark);
       }
     }
   }
@@ -318,15 +320,18 @@ void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
           scratch.join.cell.sweep.arena.allocations() +
           scratch.dbscan.arena.allocations()),
       std::memory_order_relaxed);
-  if (cenv.enumerate) partition_sender.Close();
+  if (enumerate) partition_sender.Close();
 }
 
 void RunEnumerateSubtask(
-    std::int32_t worker, const StageEnv& env, const EnumerateStageEnv& eenv,
+    std::int32_t worker, const StageEnv& env, StageResults& results,
+    flow::StageStats* ack_stats,
     flow::Channel<flow::Element<pattern::Partition>>& input) {
-  const std::vector<PatternQuery>& queries = *eenv.queries;
+  const IcpeOptions& options = *env.options;
+  const std::vector<PatternQuery>& queries = env.plan->queries;
+  const std::int32_t producers = options.parallelism;
   flow::TraceRecorder* const tr = env.tr;
-  PipelineCounters& counters = *eenv.counters;
+  PipelineCounters& counters = results.counters;
   // Exactly-once sinks: while checkpointing (or resuming), patterns
   // are folded into per-query worker-local collectors that are part of
   // the checkpointed state, and merged into the shared collectors only
@@ -337,13 +342,22 @@ void RunEnumerateSubtask(
   // merge applies the same keep-longest-per-object-set rule, and keeps
   // checkpoint state proportional to distinct patterns rather than
   // total emissions.
-  const bool transactional = eenv.transactional;
+  const bool transactional = env.transactional;
   std::vector<pattern::PatternCollector> logs(queries.size());
   auto sink_for = [&](std::size_t q) -> pattern::PatternSink {
-    if (!transactional) return eenv.direct_sink(q);
-    return [&logs, &eenv, q](const CoMovementPattern& pat) {
+    if (!transactional) {
+      return [&results, &options, q](const CoMovementPattern& pat) {
+        std::lock_guard<std::mutex> lock(results.collector_mu);
+        results.collectors[q].Add(pat);
+        if (options.on_pattern) options.on_pattern(pat);
+      };
+    }
+    return [&logs, &results, &options, q](const CoMovementPattern& pat) {
       logs[q].Add(pat);
-      if (eenv.on_pattern) eenv.on_pattern(pat);
+      if (options.on_pattern) {
+        std::lock_guard<std::mutex> lock(results.collector_mu);
+        options.on_pattern(pat);
+      }
     };
   };
   // One enumerator per query; all consume the shared partition stream.
@@ -353,7 +367,7 @@ void RunEnumerateSubtask(
                                          queries[q].constraints,
                                          sink_for(q)));
   }
-  flow::WatermarkAligner aligner(eenv.producers);
+  flow::WatermarkAligner aligner(producers);
   flow::TimeReorderBuffer<pattern::Partition> buffer;
   if (const std::string* bytes = env.restored_state("enumerate", worker)) {
     BinaryReader reader(*bytes);
@@ -408,7 +422,7 @@ void RunEnumerateSubtask(
                        ? std::move(parts)
                        : std::vector<pattern::Partition>(parts));
           }
-          eenv.enum_time->Add(watch.ElapsedMillis());
+          results.enum_time.Add(watch.ElapsedMillis());
           if (tr != nullptr) {
             tr->RecordSpanSince("enumerate", "tick", worker, t, t0);
           }
@@ -425,12 +439,12 @@ void RunEnumerateSubtask(
       if (w != kEndOfStreamTime) {
         Stopwatch watch;
         for (const auto& e : enumerators) e->AdvanceTime(w);
-        eenv.enum_time->Add(watch.ElapsedMillis());
+        results.enum_time.Add(watch.ElapsedMillis());
       }
       // A snapshot counts as answered once its pattern decisions
       // are final across every query (for VBA this is deferred
       // until strings close - the §6.3 latency/throughput trade).
-      eenv.progress(worker, finalized_through());
+      env.progress(worker, finalized_through());
     }
   };
   bool alive = true;
@@ -458,12 +472,11 @@ void RunEnumerateSubtask(
       }
     }
     last_state_bytes = state.size();
-    env.ack(id, "enumerate", worker, std::move(state),
-            eenv.enumerate_stats);
+    env.ack(id, "enumerate", worker, std::move(state), ack_stats);
     return true;
   };
   flow::BarrierAligner<pattern::Partition> barriers(
-      eenv.producers, env.restored_id, eenv.enumerate_stats, tr, worker);
+      producers, env.restored_id, ack_stats, tr, worker);
   std::vector<flow::Element<pattern::Partition>> batch;
   while (alive && input.PopBatch(batch, env.pop_batch_max) > 0) {
     for (flow::Element<pattern::Partition>& element : batch) {
@@ -491,8 +504,38 @@ void RunEnumerateSubtask(
     counters.enum_apriori_pruned.fetch_add(es.apriori_pruned,
                                            std::memory_order_relaxed);
   }
-  if (transactional) eenv.commit(std::move(logs));
-  eenv.progress(worker, kEndOfStreamTime);
+  if (transactional) {
+    std::lock_guard<std::mutex> lock(results.collector_mu);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      for (const CoMovementPattern& pat : logs[q].Patterns()) {
+        results.collectors[q].Add(pat);
+      }
+    }
+  }
+  env.progress(worker, kEndOfStreamTime);
+}
+
+void SpawnStageSubtasks(flow::TaskGroup& tasks, std::int32_t lo,
+                        std::int32_t hi, const StageEnv& env,
+                        StageResults& results,
+                        flow::Transport<Snapshot>& snapshots,
+                        flow::StageStats* snapshot_stats,
+                        flow::Transport<pattern::Partition>& partitions,
+                        flow::StageStats* partition_stats) {
+  for (std::int32_t s = lo; s < hi; ++s) {
+    tasks.Spawn([&env, &results, &snapshots, &partitions, snapshot_stats,
+                 s] {
+      RunClusterSubtask(s, env, results, snapshot_stats,
+                        snapshots.channel(s), partitions);
+    });
+  }
+  if (!env.plan->enumerate()) return;
+  for (std::int32_t s = lo; s < hi; ++s) {
+    tasks.Spawn([&env, &results, &partitions, partition_stats, s] {
+      RunEnumerateSubtask(s, env, results, partition_stats,
+                          partitions.channel(s));
+    });
+  }
 }
 
 }  // namespace comove::core

@@ -15,23 +15,23 @@
 #include "flow/channel.h"
 #include "flow/element.h"
 #include "flow/net/transport.h"
+#include "flow/task_group.h"
 #include "pattern/enumerator.h"
 #include "pattern/partition.h"
 #include "pattern/streaming_enumerator.h"
 
 /// \file
-/// The ICPE pipeline's subtask bodies, factored out of RunIcpe so that
-/// every deployment - single process (core/icpe_engine.cc) and
-/// multi-process over sockets (core/distributed.cc) - runs the exact same
-/// operator code against a Transport edge. Bit-identical results across
+/// The ICPE pipeline's subtask bodies, shared by every deployment: the
+/// in-process run (no worker processes) and the multi-process run over
+/// sockets (core/distributed.cc) execute the exact same operator code
+/// against a Transport edge. Bit-identical results across
 /// deployments hold by construction: only the edges differ.
 ///
 /// Each Run*Subtask call is one subtask: it drains its input channel (or
 /// replays the dataset, for the source), produces onto a Transport, and
 /// returns when the stream finishes or the pipeline crashes. Everything
 /// deployment-specific - where acks go, how completion progress reaches
-/// the tracker, where patterns are committed - enters through the
-/// environment structs as callbacks.
+/// the tracker - enters through StageEnv as callbacks.
 
 namespace comove::core {
 
@@ -47,22 +47,6 @@ inline std::size_t OwnerPartition(TrajectoryId owner, std::int32_t p) {
   return (static_cast<std::uint32_t>(owner) * 2654435761u) %
          static_cast<std::uint32_t>(p);
 }
-
-/// One replicated GridObject tagged with its snapshot time: the payload
-/// of the cell-keyed exchange in the Fig. 5 dataflow mode.
-struct CellMsg {
-  Timestamp time = 0;
-  cluster::GridObject object;
-};
-
-/// Input of the GridSync/DBSCAN stage: either the raw snapshot (shipped
-/// once) or a batch of neighbour pairs from one GridQuery subtask.
-struct SyncMsg {
-  Timestamp time = 0;
-  bool is_snapshot = false;
-  Snapshot snapshot;
-  std::vector<NeighborPair> pairs;
-};
 
 /// Thread-safe accumulation of per-snapshot stage compute times.
 struct TimeAccumulator {
@@ -118,6 +102,21 @@ struct QueryPlan {
 
 QueryPlan BuildQueryPlan(const IcpeOptions& options);
 
+/// Everything the cluster and enumerate subtasks of one process fold
+/// their results into as they exit: run counters, compute times, and one
+/// pattern collector per query. The coordinator owns the run's instance;
+/// a worker process owns one for its subtask range and ships it back.
+struct StageResults {
+  explicit StageResults(std::size_t queries) : collectors(queries) {}
+
+  PipelineCounters counters;
+  TimeAccumulator cluster_time;
+  TimeAccumulator enum_time;
+  /// Guards `collectors` and serialises the on_pattern callback.
+  std::mutex collector_mu;
+  std::vector<pattern::PatternCollector> collectors;
+};
+
 /// Acknowledges one operator's checkpoint snapshot: (id, op, subtask,
 /// state bytes, the stats row the snapshot size is charged to).
 using AckFn = std::function<void(std::int64_t, const char*, std::int32_t,
@@ -128,14 +127,18 @@ using AckFn = std::function<void(std::int64_t, const char*, std::int32_t,
 using RestoredStateFn =
     std::function<const std::string*(const char*, std::int32_t)>;
 
-/// Reports that enumeration subtask `worker` finalized every snapshot
-/// time <= `through` (feeds the completion tracker / latency metrics,
-/// which live wherever the coordinator lives).
+/// Reports that subtask `worker` finalized every snapshot time <=
+/// `through` (feeds the completion tracker / latency metrics, which live
+/// on the coordinator). Enumerate subtasks report it; cluster subtasks
+/// do when the run has no enumeration stage.
 using ProgressFn = std::function<void(std::int32_t, Timestamp)>;
 
-/// Deployment-independent context shared by every subtask of one run.
+/// Deployment-independent context shared by every subtask of one
+/// process. Only the callbacks differ between the coordinator and a
+/// worker process.
 struct StageEnv {
   const IcpeOptions* options = nullptr;
+  const QueryPlan* plan = nullptr;
   flow::TraceRecorder* tr = nullptr;
   FaultInjector* injector = nullptr;
   std::atomic<bool>* crashed = nullptr;
@@ -144,7 +147,13 @@ struct StageEnv {
   std::function<void()> crash_all;
   AckFn ack;
   RestoredStateFn restored_state;
+  ProgressFn progress;
   bool checkpointing = false;
+  /// Exactly-once enumeration: patterns fold into a subtask-local
+  /// collector that is part of the checkpointed state and is merged into
+  /// StageResults only at a normal exit. Off: every emission goes
+  /// straight to the shared collectors.
+  bool transactional = false;
   std::int64_t restored_id = 0;
   /// Consumers drain up to this many queued elements per lock round-trip.
   std::size_t pop_batch_max = 1;
@@ -167,53 +176,36 @@ void RunAssemblerSubtask(const StageEnv& env,
                          PipelineCounters* counters,
                          flow::StageStats* assembler_stats);
 
-/// Per-stage context of the snapshot-parallel clustering subtasks.
-struct ClusterStageEnv {
-  TimeAccumulator* cluster_time = nullptr;
-  PipelineCounters* counters = nullptr;
-  flow::StageStats* cluster_stats = nullptr;
-  const PatternConstraints* partition_constraints = nullptr;
-  bool enumerate = true;
-  /// Completion progress for clustering-only pipelines (enumerate off);
-  /// unused otherwise.
-  ProgressFn progress;
-};
-
 /// Clustering subtask `worker`: indexed clustering per snapshot (§5.3),
-/// partitions routed by OwnerPartition onto the partition edge.
+/// partitions routed by OwnerPartition onto the partition edge. Acks are
+/// charged to `ack_stats`.
 void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
-                       const ClusterStageEnv& cenv,
+                       StageResults& results, flow::StageStats* ack_stats,
                        flow::Channel<flow::Element<Snapshot>>& input,
                        flow::Transport<pattern::Partition>& out);
-
-/// Per-stage context of the enumeration subtasks.
-struct EnumerateStageEnv {
-  const std::vector<PatternQuery>* queries = nullptr;
-  TimeAccumulator* enum_time = nullptr;
-  PipelineCounters* counters = nullptr;
-  flow::StageStats* enumerate_stats = nullptr;
-  /// Producer count of the partition edge (the clustering parallelism);
-  /// sized the worker's watermark and barrier aligners.
-  std::int32_t producers = 0;
-  /// Exactly-once mode: patterns fold into a worker-local collector that
-  /// is part of the checkpointed state and handed to `commit` only at a
-  /// normal exit. Off: every emission goes straight to `direct_sink`.
-  bool transactional = false;
-  std::function<pattern::PatternSink(std::size_t)> direct_sink;
-  /// Streaming callback in transactional mode (already serialised by the
-  /// caller); null when the run has no on_pattern observer.
-  std::function<void(const CoMovementPattern&)> on_pattern;
-  /// Receives the worker's per-query pattern folds at a NORMAL exit in
-  /// transactional mode - never after a crash.
-  std::function<void(std::vector<pattern::PatternCollector>&&)> commit;
-  ProgressFn progress;
-};
 
 /// Enumeration subtask `worker`: one enumerator per query over the shared
 /// partition stream, releasing ticks in order via aligned watermarks.
 void RunEnumerateSubtask(
-    std::int32_t worker, const StageEnv& env, const EnumerateStageEnv& eenv,
+    std::int32_t worker, const StageEnv& env, StageResults& results,
+    flow::StageStats* ack_stats,
     flow::Channel<flow::Element<pattern::Partition>>& input);
+
+/// Spawns the cluster subtasks [lo, hi) and, when the run enumerates, the
+/// enumerate subtasks [lo, hi) into `tasks`: 2 * (hi - lo) threads whose
+/// inputs are the local consumer channels of the two edges. The
+/// in-process run calls it with [0, p) over Exchange edges, a worker
+/// process with its own range over SocketTransport edges. `env`,
+/// `results` and both edges must outlive the task group.
+/// `snapshot_stats`/`partition_stats` are the edges' stats rows, which
+/// the subtasks charge their checkpoint acks to.
+void SpawnStageSubtasks(flow::TaskGroup& tasks, std::int32_t lo,
+                        std::int32_t hi, const StageEnv& env,
+                        StageResults& results,
+                        flow::Transport<Snapshot>& snapshots,
+                        flow::StageStats* snapshot_stats,
+                        flow::Transport<pattern::Partition>& partitions,
+                        flow::StageStats* partition_stats);
 
 }  // namespace comove::core
 

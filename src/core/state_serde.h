@@ -5,16 +5,14 @@
 
 #include "common/serde.h"
 #include "common/types.h"
-#include "cluster/grid_object.h"
 #include "pattern/partition.h"
 
 /// \file
 /// Binary encodings of the pipeline value types that live inside operator
-/// state at a checkpoint cut: snapshots buffered before clustering, grid
-/// objects and neighbor pairs buffered between the Fig.5 cell stages, and
-/// partitions held in the enumerate stage's reorder buffer. Readers
-/// report corruption through the BinaryReader ok() flag - a failed read
-/// yields a zero-valued object, never undefined behaviour.
+/// state at a checkpoint cut or cross a process boundary: snapshots,
+/// partitions held in the enumerate stage's reorder buffer, and patterns.
+/// Readers report corruption through the BinaryReader ok() flag - a
+/// failed read yields a zero-valued object, never undefined behaviour.
 
 namespace comove::core {
 
@@ -58,36 +56,6 @@ inline Snapshot ReadSnapshot(BinaryReader* r) {
     s.entries.push_back(e);
   }
   return r->ok() ? s : Snapshot{};
-}
-
-inline void WriteGridObject(BinaryWriter* w, const cluster::GridObject& o) {
-  w->WriteI32(o.key.cx);
-  w->WriteI32(o.key.cy);
-  w->WriteBool(o.is_query);
-  w->WriteI64(o.id);
-  WritePoint(w, o.location);
-}
-
-inline cluster::GridObject ReadGridObject(BinaryReader* r) {
-  cluster::GridObject o;
-  o.key.cx = r->ReadI32();
-  o.key.cy = r->ReadI32();
-  o.is_query = r->ReadBool();
-  o.id = r->ReadI64();
-  o.location = ReadPoint(r);
-  return o;
-}
-
-inline void WriteNeighborPair(BinaryWriter* w, const NeighborPair& p) {
-  w->WriteI64(p.a);
-  w->WriteI64(p.b);
-}
-
-inline NeighborPair ReadNeighborPair(BinaryReader* r) {
-  NeighborPair p;
-  p.a = r->ReadI64();
-  p.b = r->ReadI64();
-  return p;
 }
 
 inline void WritePartition(BinaryWriter* w, const pattern::Partition& p) {

@@ -1,7 +1,6 @@
 #ifndef COMOVE_CORE_WIRE_CODECS_H_
 #define COMOVE_CORE_WIRE_CODECS_H_
 
-#include "core/stage_workers.h"
 #include "core/state_serde.h"
 
 /// \file
@@ -32,32 +31,6 @@ struct PartitionCodec {
   }
   static bool Read(BinaryReader* r, pattern::Partition* out) {
     *out = ReadPartition(r);
-    return r->ok();
-  }
-};
-
-inline void WriteCellMsg(BinaryWriter* w, const CellMsg& m) {
-  w->WriteI32(m.time);
-  WriteGridObject(w, m.object);
-}
-
-inline CellMsg ReadCellMsg(BinaryReader* r) {
-  CellMsg m;
-  m.time = r->ReadI32();
-  m.object = ReadGridObject(r);
-  return r->ok() ? m : CellMsg{};
-}
-
-/// Cell-keyed edge payload (Fig. 5 mode). Not shipped by the current
-/// distributed topology - which rejects join_parallel_cells - but kept
-/// wire-ready and covered by the round-trip tests so the format exists
-/// before the mode needs it.
-struct CellMsgCodec {
-  static void Write(BinaryWriter* w, const CellMsg& m) {
-    WriteCellMsg(w, m);
-  }
-  static bool Read(BinaryReader* r, CellMsg* out) {
-    *out = ReadCellMsg(r);
     return r->ok();
   }
 };

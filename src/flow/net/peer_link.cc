@@ -4,6 +4,7 @@
 
 #include <chrono>
 
+#include "common/check.h"
 #include "common/frame.h"
 
 namespace comove::flow::net {
@@ -22,6 +23,12 @@ std::uint64_t MonotonicNowNs() {
 PeerLink::~PeerLink() { Shutdown(); }
 
 bool PeerLink::SendFrame(std::string_view payload) {
+  // The reader would reject the frame and drop the link; fail here, at
+  // the sender, with the real cause instead.
+  COMOVE_CHECK_MSG(payload.size() <= kMaxFramePayloadBytes,
+                   "PeerLink::SendFrame: %zu-byte payload exceeds the "
+                   "%u-byte frame limit",
+                   payload.size(), kMaxFramePayloadBytes);
   std::lock_guard<std::mutex> lock(send_mu_);
   if (dead_.load(std::memory_order_relaxed)) return false;
   send_buffer_.clear();

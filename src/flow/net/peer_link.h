@@ -36,7 +36,8 @@ class PeerLink {
 
   /// Frames `payload` and writes it out; thread-safe. Returns false once
   /// the link is dead (the frame is dropped, like a push to a cancelled
-  /// channel).
+  /// channel). A payload above kMaxFramePayloadBytes is refused with a
+  /// fatal error naming its size: the peer's reader would drop it.
   bool SendFrame(std::string_view payload);
 
   /// Blocking single-frame read for the pre-Start handshake (HELLO /

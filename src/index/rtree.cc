@@ -1,7 +1,6 @@
 #include "index/rtree.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -344,116 +343,6 @@ void RTree::SplitNode(Node* node) {
       static_cast<std::size_t>(options_.max_entries)) {
     SplitNode(parent);
   }
-}
-
-namespace {
-
-/// Splits `total` items into `parts` contiguous group sizes differing by
-/// at most one.
-std::vector<std::size_t> EvenSplit(std::size_t total, std::size_t parts) {
-  std::vector<std::size_t> sizes(parts, total / parts);
-  for (std::size_t i = 0; i < total % parts; ++i) ++sizes[i];
-  return sizes;
-}
-
-/// STR tiling plan for `total` items at node capacity `capacity`:
-/// the sizes of the vertical slabs and, per slab, the node sizes. Even
-/// splitting keeps every node (when more than one exists) at >= cap/2
-/// entries, satisfying the min-fill invariant for min_entries <= cap/2.
-struct StrTiling {
-  std::vector<std::size_t> slab_sizes;
-  std::vector<std::vector<std::size_t>> node_sizes;  ///< per slab
-};
-
-StrTiling PlanStrTiling(std::size_t total, std::size_t capacity) {
-  StrTiling plan;
-  const std::size_t node_count = (total + capacity - 1) / capacity;
-  const auto slabs = static_cast<std::size_t>(
-      std::ceil(std::sqrt(static_cast<double>(node_count))));
-  plan.slab_sizes = EvenSplit(total, slabs);
-  for (const std::size_t slab : plan.slab_sizes) {
-    const std::size_t nodes = (slab + capacity - 1) / capacity;
-    plan.node_sizes.push_back(nodes == 0 ? std::vector<std::size_t>{}
-                                         : EvenSplit(slab, nodes));
-  }
-  return plan;
-}
-
-}  // namespace
-
-RTree RTree::BulkLoad(std::vector<Point> points,
-                      std::vector<TrajectoryId> ids, RTreeOptions options) {
-  COMOVE_CHECK(points.size() == ids.size());
-  RTree tree(options);
-  if (points.empty()) return tree;
-  const auto capacity = static_cast<std::size_t>(options.max_entries);
-
-  // Leaf level: sort by x, slice into vertical slabs, sort each slab by
-  // y, pack contiguous runs into leaves.
-  std::vector<std::size_t> order(points.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return points[a].x < points[b].x;
-  });
-  std::vector<std::unique_ptr<Node>> level;
-  const StrTiling leaf_plan = PlanStrTiling(points.size(), capacity);
-  std::size_t cursor = 0;
-  for (std::size_t s = 0; s < leaf_plan.slab_sizes.size(); ++s) {
-    const std::size_t end = cursor + leaf_plan.slab_sizes[s];
-    std::sort(order.begin() + static_cast<std::ptrdiff_t>(cursor),
-              order.begin() + static_cast<std::ptrdiff_t>(end),
-              [&](std::size_t a, std::size_t b) {
-                return points[a].y < points[b].y;
-              });
-    for (const std::size_t node_size : leaf_plan.node_sizes[s]) {
-      auto leaf = std::make_unique<Node>();
-      leaf->level = 0;
-      for (std::size_t j = 0; j < node_size; ++j, ++cursor) {
-        leaf->points.push_back(points[order[cursor]]);
-        leaf->ids.push_back(ids[order[cursor]]);
-      }
-      leaf->RecomputeMbr();
-      level.push_back(std::move(leaf));
-    }
-  }
-
-  // Upper levels: pack node MBR centres with the same tiling.
-  std::int32_t current_level = 0;
-  while (level.size() > 1) {
-    ++current_level;
-    std::sort(level.begin(), level.end(),
-              [](const std::unique_ptr<Node>& a,
-                 const std::unique_ptr<Node>& b) {
-                return a->mbr.Center().x < b->mbr.Center().x;
-              });
-    const StrTiling plan = PlanStrTiling(level.size(), capacity);
-    std::vector<std::unique_ptr<Node>> parents;
-    cursor = 0;
-    for (std::size_t s = 0; s < plan.slab_sizes.size(); ++s) {
-      const std::size_t end = cursor + plan.slab_sizes[s];
-      std::sort(level.begin() + static_cast<std::ptrdiff_t>(cursor),
-                level.begin() + static_cast<std::ptrdiff_t>(end),
-                [](const std::unique_ptr<Node>& a,
-                   const std::unique_ptr<Node>& b) {
-                  return a->mbr.Center().y < b->mbr.Center().y;
-                });
-      for (const std::size_t node_size : plan.node_sizes[s]) {
-        auto parent = std::make_unique<Node>();
-        parent->level = current_level;
-        for (std::size_t j = 0; j < node_size; ++j, ++cursor) {
-          level[cursor]->parent = parent.get();
-          parent->children.push_back(std::move(level[cursor]));
-        }
-        parent->RecomputeMbr();
-        parents.push_back(std::move(parent));
-      }
-    }
-    level = std::move(parents);
-  }
-
-  tree.root_ = std::move(level.front());
-  tree.size_ = points.size();
-  return tree;
 }
 
 void RTree::AdjustUpward(Node* node) {

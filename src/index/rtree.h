@@ -56,17 +56,6 @@ class RTree {
   /// fresh one reaches steady state with zero page allocations.
   void Clear();
 
-  /// Builds a tree from a full point set with Sort-Tile-Recursive (STR)
-  /// bulk loading: O(n log n), produces near-fully-packed leaves with far
-  /// better build time than repeated insertion. The natural choice for
-  /// the GR-index, whose local trees are built fresh per snapshot - but
-  /// note that Lemma 2's query-DURING-build trick requires incremental
-  /// insertion, so bulk loading only serves build-then-query plans.
-  /// `points` and `ids` must have equal lengths. Replaces any contents.
-  static RTree BulkLoad(std::vector<Point> points,
-                        std::vector<TrajectoryId> ids,
-                        RTreeOptions options = {});
-
   /// Collects payloads of all points inside the closed rectangle `region`.
   void QueryRect(const Rect& region,
                  std::vector<TrajectoryId>* out) const;

@@ -207,6 +207,74 @@ TEST(IcpeEngine, EmptyDatasetRunsClean) {
   EXPECT_EQ(result.snapshot_count, 0);
 }
 
+/// A 70-object Brinkhoff stream with six seeded groups, dense enough for
+/// real batches on every exchange at parallelism 3.
+Dataset BatchWorkload(std::uint64_t seed) {
+  trajgen::BrinkhoffOptions gen;
+  gen.object_count = 70;
+  gen.duration = 45;
+  gen.group_count = 6;
+  gen.group_size = 5;
+  return GenerateBrinkhoff(gen, seed);
+}
+
+IcpeOptions BatchOptions() {
+  IcpeOptions options;
+  options.cluster_options.join =
+      cluster::RangeJoinOptions{.grid_cell_width = 70.0, .eps = 14.0};
+  options.cluster_options.dbscan = cluster::DbscanOptions{3};
+  options.constraints = PatternConstraints{3, 6, 2, 2};
+  options.parallelism = 3;
+  return options;
+}
+
+TEST(IcpeEngine, BatchSizeIsSemanticallyInvisible) {
+  // Batched transfer must be a pure performance knob: identical pattern
+  // sets, snapshot counts, and cluster counts for every batch size.
+  // batch 1 is the true per-element path (BatchingSender forwards
+  // straight to Exchange::Send).
+  const Dataset dataset = BatchWorkload(43);
+  IcpeOptions options = BatchOptions();
+  options.exchange_batch_size = 1;
+  const IcpeResult reference = RunIcpe(dataset, options);
+  EXPECT_FALSE(reference.patterns.empty());
+  for (const std::size_t batch : {std::size_t{2}, std::size_t{64},
+                                  std::size_t{1024}}) {
+    options.exchange_batch_size = batch;
+    const IcpeResult batched = RunIcpe(dataset, options);
+    EXPECT_EQ(ObjectSets(batched.patterns), ObjectSets(reference.patterns))
+        << "batch=" << batch;
+    EXPECT_EQ(batched.snapshot_count, reference.snapshot_count);
+    EXPECT_EQ(batched.cluster_count, reference.cluster_count);
+  }
+}
+
+TEST(IcpeEngine, BatchHistogramShowsAmortisedTransfers) {
+  // With stats on and a real batch size, the hot exchanges must report
+  // fewer lock round-trips than elements - and the histogram must account
+  // for every batch.
+  const Dataset dataset = BatchWorkload(47);
+  IcpeOptions options = BatchOptions();
+  options.collect_stats = true;
+  options.exchange_batch_size = 64;
+  const IcpeResult result = RunIcpe(dataset, options);
+  ASSERT_FALSE(result.stage_stats.empty());
+  bool saw_amortised = false;
+  for (const flow::StageStatsSnapshot& s : result.stage_stats) {
+    std::int64_t histogram_total = 0;
+    for (const std::int64_t count : s.batch_size_histogram) {
+      histogram_total += count;
+    }
+    EXPECT_EQ(histogram_total, s.batches_pushed) << s.stage;
+    if (s.avg_batch_size > 1.5) saw_amortised = true;
+  }
+  EXPECT_TRUE(saw_amortised);
+  // The source replays records in bulk: its exchange must see real
+  // batches, not degenerate singletons.
+  EXPECT_EQ(result.stage_stats[0].stage, "source->assembler");
+  EXPECT_GT(result.stage_stats[0].avg_batch_size, 1.5);
+}
+
 TEST(CompletionTracker, CompletesAtMinWorkerProgress) {
   CompletionTracker tracker(3);
   tracker.Register(1);

@@ -13,8 +13,8 @@
 #include "flow/net/wire.h"
 
 /// Wire-format property tests for the socket transport: every payload the
-/// distributed pipeline ships (snapshots, partitions, cell messages,
-/// watermarks, barriers) must round-trip bit-exactly through the Element
+/// distributed pipeline ships (snapshots, partitions, watermarks,
+/// barriers) must round-trip bit-exactly through the Element
 /// envelope, and the frame layer must reject every truncation and every
 /// single-bit flip. The CRC-32 frame guard is the integrity layer; the
 /// envelope layer on top must additionally fail cleanly (MarkCorrupt, no
@@ -46,10 +46,6 @@ bool Same(const pattern::Partition& a, const pattern::Partition& b) {
   return a.owner == b.owner && a.time == b.time && a.members == b.members;
 }
 
-bool Same(const CellMsg& a, const CellMsg& b) {
-  return a.time == b.time && a.object == b.object;
-}
-
 Snapshot RandomSnapshot(std::mt19937_64& rng) {
   std::uniform_int_distribution<int> entries(0, 12);
   std::uniform_real_distribution<double> coord(-1e6, 1e6);
@@ -73,18 +69,6 @@ pattern::Partition RandomPartition(std::mt19937_64& rng) {
     p.members.push_back(p.owner + 1 + static_cast<TrajectoryId>(i));
   }
   return p;
-}
-
-CellMsg RandomCellMsg(std::mt19937_64& rng) {
-  std::uniform_real_distribution<double> coord(-1e6, 1e6);
-  CellMsg m;
-  m.time = static_cast<Timestamp>(rng() % 10000);
-  m.object.key = GridKey{static_cast<std::int32_t>(rng() % 1000) - 500,
-                         static_cast<std::int32_t>(rng() % 1000) - 500};
-  m.object.is_query = (rng() & 1) != 0;
-  m.object.id = static_cast<TrajectoryId>(rng());
-  m.object.location = Point{coord(rng), coord(rng)};
-  return m;
 }
 
 template <typename Codec, typename T, typename Eq>
@@ -151,13 +135,6 @@ TEST(NetWire, PartitionElementsRoundTrip) {
   std::mt19937_64 rng(0xC0F0EE02);
   RoundTripElements<PartitionCodec, pattern::Partition>(
       rng, RandomPartition,
-      [](const auto& a, const auto& b) { return Same(a, b); });
-}
-
-TEST(NetWire, CellMsgElementsRoundTrip) {
-  std::mt19937_64 rng(0xC0F0EE03);
-  RoundTripElements<CellMsgCodec, CellMsg>(
-      rng, RandomCellMsg,
       [](const auto& a, const auto& b) { return Same(a, b); });
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <numbers>
 #include <string>
 #include <vector>
 
@@ -138,6 +139,48 @@ TEST(NetPipeline, CheckpointsCompleteAcrossProcesses) {
   EXPECT_EQ(distributed.checkpoints_failed, 0);
   EXPECT_EQ(RunIcpe(dataset, BaseOptions()).patterns,
             distributed.patterns);
+}
+
+/// A worker's pattern fold can outgrow any single frame: an 18-member
+/// convoy makes every subset of at least M = 4 members a pattern
+/// (261,156 of them, about 70 MiB encoded). The fold must reach the
+/// coordinator in several chunks and match the in-process run exactly.
+TEST(NetPipeline, LargePatternFoldShipsInChunks) {
+  DatasetBuilder b("convoy18");
+  const int members = 18;
+  for (Timestamp t = 0; t < 24; ++t) {
+    for (TrajectoryId id = 0; id < members; ++id) {
+      const double angle =
+          2.0 * std::numbers::pi * static_cast<double>(id) / members;
+      b.Add(id, t,
+            Point{0.5 * static_cast<double>(t) + 0.3 * std::cos(angle),
+                  0.3 * std::sin(angle)});
+    }
+  }
+  const Dataset dataset = b.Finalize();
+  IcpeOptions options = BaseOptions();
+  options.constraints = PatternConstraints{4, 18, 3, 3};
+  options.collect_stats = true;
+  const IcpeResult single = RunIcpe(dataset, options);
+  ASSERT_EQ(single.patterns.size(), 261156u);
+
+  const std::int32_t workers = 2;
+  const IcpeResult distributed =
+      RunIcpeDistributed(dataset, options, Deployment(workers, "unix"));
+  EXPECT_FALSE(distributed.crashed);
+  EXPECT_EQ(distributed.patterns, single.patterns);
+  // Nearly all bytes the coordinator received are pattern chunks, each
+  // closed at kResultChunkBytes: well over four budgets means the folds
+  // crossed in many frames.
+  std::int64_t received = 0;
+  for (std::int32_t w = 0; w < workers; ++w) {
+    for (const flow::StageStatsSnapshot& row : distributed.stage_stats) {
+      if (row.stage == "link:w" + std::to_string(w)) {
+        received += row.bytes_popped;
+      }
+    }
+  }
+  EXPECT_GT(received, 4 * static_cast<std::int64_t>(kResultChunkBytes));
 }
 
 const flow::StageStatsSnapshot* FindRow(

@@ -31,8 +31,7 @@ const Dataset& Workload() {
   return dataset;
 }
 
-IcpeOptions BaseOptions(EnumeratorKind kind, bool cells,
-                        std::size_t batch) {
+IcpeOptions BaseOptions(EnumeratorKind kind, std::size_t batch) {
   IcpeOptions options;
   options.cluster_options.join =
       cluster::RangeJoinOptions{.grid_cell_width = 60.0, .eps = 12.0};
@@ -40,14 +39,12 @@ IcpeOptions BaseOptions(EnumeratorKind kind, bool cells,
   options.constraints = PatternConstraints{3, 6, 3, 2};
   options.enumerator = kind;
   options.parallelism = 2;
-  options.join_parallel_cells = cells;
   options.exchange_batch_size = batch;
   return options;
 }
 
 struct RecoveryConfig {
   EnumeratorKind enumerator;
-  bool cells;
   std::size_t batch;
   const char* fault_stage;  ///< "cluster" or "enumerate"
 };
@@ -55,9 +52,10 @@ struct RecoveryConfig {
 std::string ConfigName(
     const ::testing::TestParamInfo<RecoveryConfig>& info) {
   const RecoveryConfig& c = info.param;
+  // "_snapshots" names the snapshot-parallel topology; the label keeps
+  // the test names stable.
   return std::string(EnumeratorKindName(c.enumerator)) +
-         (c.cells ? "_cells" : "_snapshots") + "_batch" +
-         std::to_string(c.batch) + "_" + c.fault_stage;
+         "_snapshots_batch" + std::to_string(c.batch) + "_" + c.fault_stage;
 }
 
 class ExactlyOnceMatrix : public ::testing::TestWithParam<RecoveryConfig> {
@@ -72,13 +70,13 @@ TEST_P(ExactlyOnceMatrix, CrashRecoverBitIdentical) {
   const Dataset& dataset = Workload();
 
   const IcpeResult free_run = RunIcpe(
-      dataset, BaseOptions(config.enumerator, config.cells, config.batch));
+      dataset, BaseOptions(config.enumerator, config.batch));
   ASSERT_FALSE(free_run.patterns.empty());
   ASSERT_FALSE(free_run.crashed);
 
   flow::MemorySnapshotStore store;
   IcpeOptions crash_options =
-      BaseOptions(config.enumerator, config.cells, config.batch);
+      BaseOptions(config.enumerator, config.batch);
   crash_options.checkpoint_interval = 3;
   crash_options.snapshot_store = &store;
   crash_options.fault =
@@ -91,7 +89,7 @@ TEST_P(ExactlyOnceMatrix, CrashRecoverBitIdentical) {
   EXPECT_LT(crashed.last_checkpoint_id, 2);
 
   IcpeOptions recover_options =
-      BaseOptions(config.enumerator, config.cells, config.batch);
+      BaseOptions(config.enumerator, config.batch);
   recover_options.checkpoint_interval = 3;
   recover_options.snapshot_store = &store;
   recover_options.recover = true;
@@ -107,29 +105,23 @@ TEST_P(ExactlyOnceMatrix, CrashRecoverBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, ExactlyOnceMatrix,
     ::testing::Values(
-        // {BA, FBA, VBA} x {snapshot-parallel, cells} x batch {1, 64},
-        // alternating the killed stage between cluster and enumerate.
-        RecoveryConfig{EnumeratorKind::kBA, false, 1, "cluster"},
-        RecoveryConfig{EnumeratorKind::kBA, false, 64, "enumerate"},
-        RecoveryConfig{EnumeratorKind::kBA, true, 1, "enumerate"},
-        RecoveryConfig{EnumeratorKind::kBA, true, 64, "cluster"},
-        RecoveryConfig{EnumeratorKind::kFBA, false, 1, "enumerate"},
-        RecoveryConfig{EnumeratorKind::kFBA, false, 64, "cluster"},
-        RecoveryConfig{EnumeratorKind::kFBA, true, 1, "cluster"},
-        RecoveryConfig{EnumeratorKind::kFBA, true, 64, "enumerate"},
-        RecoveryConfig{EnumeratorKind::kVBA, false, 1, "cluster"},
-        RecoveryConfig{EnumeratorKind::kVBA, false, 64, "enumerate"},
-        RecoveryConfig{EnumeratorKind::kVBA, true, 1, "enumerate"},
-        RecoveryConfig{EnumeratorKind::kVBA, true, 64, "cluster"}),
+        // {BA, FBA, VBA} x batch {1, 64}, alternating the killed stage
+        // between cluster and enumerate.
+        RecoveryConfig{EnumeratorKind::kBA, 1, "cluster"},
+        RecoveryConfig{EnumeratorKind::kBA, 64, "enumerate"},
+        RecoveryConfig{EnumeratorKind::kFBA, 1, "enumerate"},
+        RecoveryConfig{EnumeratorKind::kFBA, 64, "cluster"},
+        RecoveryConfig{EnumeratorKind::kVBA, 1, "cluster"},
+        RecoveryConfig{EnumeratorKind::kVBA, 64, "enumerate"}),
     ConfigName);
 
 TEST(Recovery, CheckpointingAloneDoesNotChangeResults) {
   const Dataset& dataset = Workload();
   const IcpeResult plain =
-      RunIcpe(dataset, BaseOptions(EnumeratorKind::kFBA, false, 64));
+      RunIcpe(dataset, BaseOptions(EnumeratorKind::kFBA, 64));
 
   flow::MemorySnapshotStore store;
-  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, false, 64);
+  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, 64);
   options.checkpoint_interval = 5;
   options.snapshot_store = &store;
   const IcpeResult checkpointed = RunIcpe(dataset, options);
@@ -143,10 +135,10 @@ TEST(Recovery, CheckpointingAloneDoesNotChangeResults) {
 TEST(Recovery, ColdStoreRecoveryFallsBackToNormalRun) {
   const Dataset& dataset = Workload();
   const IcpeResult plain =
-      RunIcpe(dataset, BaseOptions(EnumeratorKind::kVBA, false, 64));
+      RunIcpe(dataset, BaseOptions(EnumeratorKind::kVBA, 64));
 
   flow::MemorySnapshotStore store;  // empty: nothing to restore
-  IcpeOptions options = BaseOptions(EnumeratorKind::kVBA, false, 64);
+  IcpeOptions options = BaseOptions(EnumeratorKind::kVBA, 64);
   options.checkpoint_interval = 4;
   options.snapshot_store = &store;
   options.recover = true;
@@ -158,11 +150,11 @@ TEST(Recovery, ColdStoreRecoveryFallsBackToNormalRun) {
 TEST(Recovery, FailedStoreWriteAbortsCheckpointNotPipeline) {
   const Dataset& dataset = Workload();
   const IcpeResult plain =
-      RunIcpe(dataset, BaseOptions(EnumeratorKind::kFBA, false, 64));
+      RunIcpe(dataset, BaseOptions(EnumeratorKind::kFBA, 64));
 
   flow::MemorySnapshotStore inner;
   core::FailingSnapshotStore store(&inner, /*fail_write_number=*/2);
-  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, false, 64);
+  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, 64);
   options.checkpoint_interval = 3;
   options.snapshot_store = &store;
   const IcpeResult result = RunIcpe(dataset, options);
@@ -179,11 +171,11 @@ TEST(Recovery, FailedStoreWriteAbortsCheckpointNotPipeline) {
 TEST(Recovery, CrashAfterLostCheckpointRewindsFurther) {
   const Dataset& dataset = Workload();
   const IcpeResult plain =
-      RunIcpe(dataset, BaseOptions(EnumeratorKind::kVBA, true, 64));
+      RunIcpe(dataset, BaseOptions(EnumeratorKind::kVBA, 64));
 
   flow::MemorySnapshotStore inner;
   core::FailingSnapshotStore store(&inner, /*fail_write_number=*/2);
-  IcpeOptions options = BaseOptions(EnumeratorKind::kVBA, true, 64);
+  IcpeOptions options = BaseOptions(EnumeratorKind::kVBA, 64);
   options.checkpoint_interval = 3;
   options.snapshot_store = &store;
   options.fault = FaultSpec{"enumerate", 0, /*at_checkpoint=*/3};
@@ -192,7 +184,7 @@ TEST(Recovery, CrashAfterLostCheckpointRewindsFurther) {
   EXPECT_LE(crashed.last_checkpoint_id, 1);
   EXPECT_LE(crashed.checkpoints_failed, 1);
 
-  IcpeOptions recover_options = BaseOptions(EnumeratorKind::kVBA, true, 64);
+  IcpeOptions recover_options = BaseOptions(EnumeratorKind::kVBA, 64);
   recover_options.checkpoint_interval = 3;
   recover_options.snapshot_store = &inner;
   recover_options.recover = true;
@@ -204,7 +196,7 @@ TEST(Recovery, CrashAfterLostCheckpointRewindsFurther) {
 TEST(Recovery, FileStoreEndToEnd) {
   const Dataset& dataset = Workload();
   const IcpeResult plain =
-      RunIcpe(dataset, BaseOptions(EnumeratorKind::kFBA, false, 64));
+      RunIcpe(dataset, BaseOptions(EnumeratorKind::kFBA, 64));
 
   const std::string dir =
       (std::filesystem::temp_directory_path() / "comove_recovery_e2e")
@@ -212,7 +204,7 @@ TEST(Recovery, FileStoreEndToEnd) {
   std::filesystem::remove_all(dir);
   {
     flow::FileSnapshotStore store(dir);
-    IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, false, 64);
+    IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, 64);
     options.checkpoint_interval = 3;
     options.snapshot_store = &store;
     options.fault = FaultSpec{"enumerate", 1, /*at_checkpoint=*/3};
@@ -223,7 +215,7 @@ TEST(Recovery, FileStoreEndToEnd) {
   {
     // A brand-new process would build a fresh store over the directory.
     flow::FileSnapshotStore store(dir);
-    IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, false, 64);
+    IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, 64);
     options.checkpoint_interval = 3;
     options.snapshot_store = &store;
     options.recover = true;
@@ -237,7 +229,7 @@ TEST(Recovery, FileStoreEndToEnd) {
 TEST(Recovery, CheckpointStatsSurfaceInStageTable) {
   const Dataset& dataset = Workload();
   flow::MemorySnapshotStore store;
-  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, false, 64);
+  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, 64);
   options.checkpoint_interval = 3;
   options.snapshot_store = &store;
   options.collect_stats = true;
@@ -263,13 +255,13 @@ TEST(RecoveryDeathTest, FingerprintMismatchRefusesRestore) {
   const Dataset& dataset = Workload();
   flow::MemorySnapshotStore store;
   {
-    IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, false, 64);
+    IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, 64);
     options.checkpoint_interval = 5;
     options.snapshot_store = &store;
     const IcpeResult result = RunIcpe(dataset, options);
     ASSERT_GT(result.checkpoints_completed, 0);
   }
-  IcpeOptions mismatched = BaseOptions(EnumeratorKind::kFBA, false, 64);
+  IcpeOptions mismatched = BaseOptions(EnumeratorKind::kFBA, 64);
   mismatched.cluster_options.join.eps = 13.0;  // different pipeline shape
   mismatched.checkpoint_interval = 5;
   mismatched.snapshot_store = &store;
@@ -279,16 +271,18 @@ TEST(RecoveryDeathTest, FingerprintMismatchRefusesRestore) {
 
 TEST(Recovery, FingerprintCoversShapeNotTuning) {
   const Dataset& dataset = Workload();
-  IcpeOptions a = BaseOptions(EnumeratorKind::kFBA, false, 1);
-  IcpeOptions b = BaseOptions(EnumeratorKind::kFBA, false, 64);
+  IcpeOptions a = BaseOptions(EnumeratorKind::kFBA, 1);
+  IcpeOptions b = BaseOptions(EnumeratorKind::kFBA, 64);
   b.channel_capacity = 7;
   b.collect_stats = true;
   // Batch size, capacity, and stats do not affect results, so they must
   // not invalidate a checkpoint.
   EXPECT_EQ(BuildFingerprint(dataset, a), BuildFingerprint(dataset, b));
-  IcpeOptions c = BaseOptions(EnumeratorKind::kVBA, false, 1);
+  IcpeOptions c = BaseOptions(EnumeratorKind::kVBA, 1);
   EXPECT_NE(BuildFingerprint(dataset, a), BuildFingerprint(dataset, c));
-  IcpeOptions d = BaseOptions(EnumeratorKind::kFBA, true, 1);
+  // Parallelism fixes the subtask set and the id routing, so it is shape.
+  IcpeOptions d = BaseOptions(EnumeratorKind::kFBA, 1);
+  d.parallelism = 3;
   EXPECT_NE(BuildFingerprint(dataset, a), BuildFingerprint(dataset, d));
 }
 

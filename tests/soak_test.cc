@@ -1,6 +1,6 @@
 /// End-to-end soak: the full pipeline over all three standard datasets
 /// (small scale), cross-checked against the brute-force oracle, across
-/// both execution modes and both bit-compressed enumerators. Heavier
+/// ordered and shuffled replay and both bit-compressed enumerators. Heavier
 /// than the unit suites but still a few seconds in total.
 
 #include <gtest/gtest.h>
@@ -51,28 +51,22 @@ TEST_P(SoakAllDatasets, PipelineMatchesOracleInAllModes) {
 
   for (const auto kind :
        {EnumeratorKind::kFBA, EnumeratorKind::kVBA}) {
-    for (const bool cell_parallel : {false, true}) {
-      for (const Timestamp shuffle : {Timestamp{0}, Timestamp{3}}) {
-        options.enumerator = kind;
-        options.join_parallel_cells = cell_parallel;
-        options.replay_shuffle_window = shuffle;
-        options.collect_stats = true;
-        const IcpeResult result = RunIcpe(dataset, options);
-        EXPECT_EQ(ObjectSets(result.patterns), oracle)
-            << trajgen::StandardDatasetName(GetParam()) << " "
-            << EnumeratorKindName(kind)
-            << (cell_parallel ? " cell-parallel" : " snapshot-parallel")
-            << " shuffle=" << shuffle;
-        // A drained pipeline leaves nothing queued: every depth gauge is
-        // zero and every pushed element was popped, on every stage.
-        EXPECT_EQ(result.stage_stats.size(),
-                  cell_parallel ? 5u : 3u);
-        for (const flow::StageStatsSnapshot& s : result.stage_stats) {
-          EXPECT_EQ(s.queue_depth, 0) << s.stage;
-          EXPECT_EQ(s.records_pushed, s.records_popped) << s.stage;
-          EXPECT_EQ(s.watermarks_pushed, s.watermarks_popped) << s.stage;
-          EXPECT_GE(s.max_queue_depth, 0) << s.stage;
-        }
+    for (const Timestamp shuffle : {Timestamp{0}, Timestamp{3}}) {
+      options.enumerator = kind;
+      options.replay_shuffle_window = shuffle;
+      options.collect_stats = true;
+      const IcpeResult result = RunIcpe(dataset, options);
+      EXPECT_EQ(ObjectSets(result.patterns), oracle)
+          << trajgen::StandardDatasetName(GetParam()) << " "
+          << EnumeratorKindName(kind) << " shuffle=" << shuffle;
+      // A drained pipeline leaves nothing queued: every depth gauge is
+      // zero and every pushed element was popped, on every stage.
+      EXPECT_EQ(result.stage_stats.size(), 3u);
+      for (const flow::StageStatsSnapshot& s : result.stage_stats) {
+        EXPECT_EQ(s.queue_depth, 0) << s.stage;
+        EXPECT_EQ(s.records_pushed, s.records_popped) << s.stage;
+        EXPECT_EQ(s.watermarks_pushed, s.watermarks_popped) << s.stage;
+        EXPECT_GE(s.max_queue_depth, 0) << s.stage;
       }
     }
   }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/frame.h"
 #include "common/net_io.h"
 #include "common/serde.h"
 #include "flow/channel.h"
@@ -125,10 +127,18 @@ class SocketHarness final : public TransportHarness {
 
 using HarnessFactory = std::function<std::unique_ptr<TransportHarness>()>;
 
-class TransportConformance
-    : public ::testing::TestWithParam<std::pair<const char*, HarnessFactory>> {
+struct TransportCase {
+  const char* name;
+  HarnessFactory make;
+};
+
+/// gtest puts the printed parameter into the test ID; print the label
+/// only, not the string's address, so the IDs are the same on every run.
+void PrintTo(const TransportCase& c, std::ostream* os) { *os << c.name; }
+
+class TransportConformance : public ::testing::TestWithParam<TransportCase> {
  protected:
-  std::unique_ptr<TransportHarness> harness_ = GetParam().second();
+  std::unique_ptr<TransportHarness> harness_ = GetParam().make();
 };
 
 /// Polls `channel` until it yields an item or finishes. The socket path
@@ -239,19 +249,34 @@ TEST_P(TransportConformance, CancelFinishesConsumersImmediately) {
 INSTANTIATE_TEST_SUITE_P(
     Implementations, TransportConformance,
     ::testing::Values(
-        std::pair<const char*, HarnessFactory>(
+        TransportCase{
             "Exchange",
             [] {
               return std::unique_ptr<TransportHarness>(
                   std::make_unique<ExchangeHarness>());
-            }),
-        std::pair<const char*, HarnessFactory>(
+            }},
+        TransportCase{
             "SocketPair",
             [] {
               return std::unique_ptr<TransportHarness>(
                   std::make_unique<SocketHarness>());
-            })),
-    [](const auto& info) { return std::string(info.param.first); });
+            }}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+/// A frame above the wire cap would be dropped by the peer's reader as a
+/// corrupt length; the sender must refuse it up front and say why.
+TEST(PeerLinkDeathTest, OversizePayloadRefusedAtTheSender) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        int fds[2];
+        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return;
+        PeerLink link{comove::UniqueFd(fds[0])};
+        const comove::UniqueFd peer(fds[1]);
+        link.SendFrame(std::string(kMaxFramePayloadBytes + 1, 'x'));
+      },
+      "exceeds the [0-9]+-byte frame limit");
+}
 
 }  // namespace
 }  // namespace comove::flow
