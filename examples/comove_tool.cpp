@@ -46,6 +46,7 @@
 ///       aborts rather than under-report.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -156,6 +157,24 @@ int RunGenerate(int argc, char** argv) {
 bool ParseMklg(const char* text, PatternConstraints* c) {
   return std::sscanf(text, "%d,%d,%d,%d", &c->m, &c->k, &c->l, &c->g) == 4 &&
          c->IsValid();
+}
+
+/// The range join needs a finite, positive eps and grid cell width. By
+/// default both derive from the dataset's extent, which is zero when
+/// every point sits at one location. Prints `error: ...` when either is
+/// unusable.
+bool CheckJoinScale(const cluster::RangeJoinOptions& join) {
+  const auto usable = [](double v) { return std::isfinite(v) && v > 0.0; };
+  if (!usable(join.eps) || !usable(join.grid_cell_width)) {
+    std::fprintf(stderr,
+                 "error: eps (%g) and grid cell width (%g) must be finite "
+                 "and > 0; the cell width, and eps unless --eps is given, "
+                 "derive from the dataset extent, which is zero when all "
+                 "points share one location\n",
+                 join.eps, join.grid_cell_width);
+    return false;
+  }
+  return true;
 }
 
 int RunDetect(int argc, char** argv) {
@@ -279,6 +298,7 @@ int RunDetect(int argc, char** argv) {
   if (!timeseries_path.empty() && options.sample_interval_ms == 0) {
     options.sample_interval_ms = 100;
   }
+  if (!CheckJoinScale(options.cluster_options.join)) return 1;
   std::unique_ptr<flow::FileSnapshotStore> store;
   if (!checkpoint_dir.empty()) {
     store = std::make_unique<flow::FileSnapshotStore>(checkpoint_dir);
@@ -424,6 +444,7 @@ int RunCompress(int argc, char** argv) {
   options.cluster_options.join.grid_cell_width = stats.MaxDistance() * 0.016;
   options.cluster_options.dbscan.min_pts = 3;
   options.constraints = PatternConstraints{3, 8, 3, 2};
+  if (!CheckJoinScale(options.cluster_options.join)) return 1;
   const core::IcpeResult result = RunIcpe(dataset, options);
 
   apps::CompressionOptions copts;

@@ -32,7 +32,6 @@ TESTS=(
   incremental_join_test
   simd_kernel_test
   icpe_incremental_test
-  multi_query_test
   soak_test
   barrier_alignment_test
   checkpoint_test

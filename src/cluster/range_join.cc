@@ -10,16 +10,9 @@ namespace comove::cluster {
 std::vector<GridObject> GridAllocate(const Snapshot& snapshot,
                                      const RangeJoinOptions& options,
                                      bool use_lemma1) {
-  std::vector<GridObject> out;
   const GridIndex grid(options.grid_cell_width);
-  GridAllocate(snapshot, grid, options.eps, use_lemma1, out);
-  return out;
-}
-
-void GridAllocate(const Snapshot& snapshot, const GridIndex& grid,
-                  double eps, bool use_lemma1,
-                  std::vector<GridObject>& out) {
-  out.clear();
+  const double eps = options.eps;
+  std::vector<GridObject> out;
   out.reserve(snapshot.entries.size() * 2);
   for (const SnapshotEntry& e : snapshot.entries) {
     const GridKey home = grid.KeyOf(e.location);
@@ -31,6 +24,7 @@ void GridAllocate(const Snapshot& snapshot, const GridIndex& grid,
       out.push_back(GridObject{key, /*is_query=*/true, e.id, e.location});
     });
   }
+  return out;
 }
 
 namespace {
@@ -74,7 +68,7 @@ void RTreeCellJoin(const std::vector<GridObject>& cell_objects,
 
   // Traditional scheme (SRJ): build the full local index first, then run
   // every object's full-region query. Pairs are produced from both sides
-  // and within-cell pairs twice; GridSync deduplicates.
+  // and within-cell pairs twice; SortUniquePairs deduplicates.
   for (const GridObject& o : cell_objects) {
     if (!o.is_query) tree.Insert(o.location, o.id);
   }
@@ -92,15 +86,6 @@ void RTreeCellJoin(const std::vector<GridObject>& cell_objects,
 
 }  // namespace
 
-std::vector<NeighborPair> GridQuery(
-    const std::vector<GridObject>& cell_objects,
-    const RangeJoinOptions& options, bool use_lemma2) {
-  std::vector<NeighborPair> out;
-  CellQueryScratch scratch;
-  GridQuery(cell_objects, options, use_lemma2, scratch, out);
-  return out;
-}
-
 void GridQuery(const std::vector<GridObject>& cell_objects,
                const RangeJoinOptions& options, bool use_lemma2,
                CellQueryScratch& scratch, std::vector<NeighborPair>& out) {
@@ -113,27 +98,14 @@ void GridQuery(const std::vector<GridObject>& cell_objects,
   RTreeCellJoin(cell_objects, options, use_lemma2, *scratch.tree, out);
 }
 
-std::vector<NeighborPair> GridSync(
-    std::vector<std::vector<NeighborPair>>&& per_cell) {
-  std::vector<NeighborPair> out;
-  std::size_t total = 0;
-  for (const auto& v : per_cell) total += v.size();
-  out.reserve(total);
-  for (auto& v : per_cell) {
-    out.insert(out.end(), v.begin(), v.end());
-  }
-  SortUniquePairs(out);
-  return out;
-}
-
 void CellDeltaCache::QueryCell(std::vector<GridObject>& cell_objects,
                                const GridKey& key,
                                const RangeJoinOptions& options,
                                bool use_lemma2, CellQueryScratch& kernel,
                                std::vector<NeighborPair>& out) {
-  // Replays may repeat work only the downstream SortUniquePairs (or the
-  // Fig. 5 sync stage's sort + unique) would remove anyway, so the merged
-  // stream is bit-identical to a full recompute.
+  // Replays may repeat work only the downstream SortUniquePairs would
+  // remove anyway, so the merged stream is bit-identical to a full
+  // recompute.
   auto it = entries.find(key);
   if (it == entries.end()) {
     Entry fresh;

@@ -13,8 +13,8 @@
 #include "index/rtree.h"
 
 /// \file
-/// GR-index based range join (§5.2). The join is decomposed exactly as in
-/// the paper so the distributed pipeline can host each piece as a stage:
+/// GR-index based range join (§5.2), decomposed into the paper's three
+/// steps; each cluster subtask runs all three on its snapshot:
 ///
 ///   GridAllocate  - computes GridObjects (replication plan). With Lemma 1
 ///                   a location is only replicated to cells intersecting
@@ -23,7 +23,8 @@
 ///                   queried against the index *before* insertion, which
 ///                   yields every within-cell pair exactly once without
 ///                   building the index up front.
-///   GridSync      - merges per-cell outputs (plus canonicalisation).
+///   GridSync      - merges per-cell outputs (plus canonicalisation); here
+///                   SortUniquePairs over the appended per-cell pairs.
 ///
 /// GridQuery runs one of two kernels (RangeJoinOptions::kernel): the
 /// default flat plane sweep over sorted SoA columns (join_kernel.h), or
@@ -126,15 +127,6 @@ struct CellDeltaCache {
   /// snapshots; amortised (the scan runs once per eviction period). Call
   /// once per snapshot after the QueryCell calls.
   void EndSnapshot();
-
-  /// Drops all cached state (counters included); used on recovery.
-  void Clear() {
-    entries.clear();
-    pool.clear();
-    epoch = 0;
-    cells_seen = 0;
-    cells_replayed = 0;
-  }
 };
 
 /// Open-addressing map from grid cell to its persistent GridObject
@@ -213,17 +205,11 @@ struct JoinScratch {
 
 /// GridAllocate (Algorithm 1): emits the GridObjects of `snapshot`. With
 /// `use_lemma1` the query replication covers only the upper half of each
-/// range region; otherwise the full region (the SRJ scheme).
+/// range region; otherwise the full region (the SRJ scheme). The join
+/// itself (RunJoin) fuses this pass with the bucketing by cell.
 std::vector<GridObject> GridAllocate(const Snapshot& snapshot,
                                      const RangeJoinOptions& options,
                                      bool use_lemma1 = true);
-
-/// GridAllocate into a caller-owned buffer with a caller-owned grid:
-/// `out` is cleared and refilled, retaining its capacity across
-/// snapshots, and `grid` carries the cell geometry derived once per run
-/// instead of once per snapshot (the hot-path form).
-void GridAllocate(const Snapshot& snapshot, const GridIndex& grid,
-                  double eps, bool use_lemma1, std::vector<GridObject>& out);
 
 /// GridQuery (Algorithm 2) for the GridObjects of ONE grid cell, run with
 /// the kernel selected by `options.kernel`.
@@ -233,27 +219,16 @@ void GridAllocate(const Snapshot& snapshot, const GridIndex& grid,
 /// half-space predicate (strictly-above, or same-y right-of tiebreak) so
 /// cross-cell pairs appear exactly once. Without `use_lemma2` every
 /// object runs its full-region query against all data; the caller must
-/// then deduplicate (GridSync does).
+/// then deduplicate (SortUniquePairs does).
 ///
 /// `cell_objects` may interleave data and query objects in any order.
-std::vector<NeighborPair> GridQuery(const std::vector<GridObject>& cell_objects,
-                                    const RangeJoinOptions& options,
-                                    bool use_lemma2 = true);
-
-/// GridQuery with caller-owned working memory: `scratch` holds the
-/// selected kernel's state across cells (recycled R-tree pages or SoA
-/// buffers), and pairs are APPENDED to `out` - callers chain all cells of
-/// a snapshot into one result vector without a per-cell allocation.
+/// `scratch` holds the selected kernel's state across cells (recycled
+/// R-tree pages or SoA buffers), and pairs are APPENDED to `out` - callers
+/// chain all cells of a snapshot into one result vector without a
+/// per-cell allocation.
 void GridQuery(const std::vector<GridObject>& cell_objects,
                const RangeJoinOptions& options, bool use_lemma2,
                CellQueryScratch& scratch, std::vector<NeighborPair>& out);
-
-/// GridSync: merges per-cell results, canonicalises pairs to a < b, sorts,
-/// and removes duplicates (duplicates only exist for non-Lemma variants;
-/// for full RJC this is a pure merge). Consumes the per-cell buffers - an
-/// rvalue so call sites hand the buffers over instead of copying them.
-std::vector<NeighborPair> GridSync(
-    std::vector<std::vector<NeighborPair>>&& per_cell);
 
 /// The complete range join RJ(snapshot, eps) over the GR-index: the
 /// production path with both lemmas, or an ablation variant.

@@ -2,6 +2,7 @@
 #define COMOVE_COMMON_TYPES_H_
 
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -26,6 +27,11 @@ using Timestamp = std::int32_t;
 
 /// Sentinel for "no previous report" in last-time synchronisation (§4).
 inline constexpr Timestamp kNoTime = -1;
+
+/// Sentinel watermark closing the stream ("no more snapshots ever"). It
+/// is no valid record time: data times lie in [0, kEndOfStreamTime).
+inline constexpr Timestamp kEndOfStreamTime =
+    std::numeric_limits<Timestamp>::max();
 
 /// A GPS record of one trajectory after discretisation, augmented with the
 /// "last time" pointer of §4: the time of this trajectory's most recent

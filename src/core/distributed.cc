@@ -55,12 +55,14 @@ enum CtrlTag : std::uint8_t {
   kTagPeerHello = 21,  ///< worker -> worker: u32 index (mesh handshake)
   kTagStats = 22,      ///< worker -> coord: stage-stats snapshots
   kTagTrace = 23,      ///< worker -> coord: trace events + clock anchors
-  kTagPatterns = 24,   ///< worker -> coord: u64 query + one fold chunk
+  kTagPatterns = 24,   ///< worker -> coord: u64 subtask + one fold chunk
 };
 
 constexpr std::uint8_t kSnapshotEdge = 0;   ///< assembler -> cluster
 constexpr std::uint8_t kPartitionEdge = 1;  ///< cluster -> enumerate
-constexpr std::uint32_t kConfigVersion = 2;
+constexpr std::uint32_t kConfigVersion = 3;
+/// Budget for every blocking handshake step (connect, HELLO, CONFIG), on
+/// the coordinator and in the workers alike.
 constexpr std::int64_t kWorkerHandshakeTimeoutMs = 15000;
 /// Cadence of periodic worker STATS frames when no sampler interval is
 /// set; with a sampler, the worker ships at the sampler's own cadence so
@@ -99,10 +101,7 @@ void UnlinkIfUnix(const std::string& address) {
 }
 
 /// Everything a worker process needs to run its subtask range,
-/// reconstructed bit-for-bit from the CONFIG frame. The options carry
-/// enumerator=kNone with the full query set in extra_queries, so
-/// BuildQueryPlan on the worker yields the coordinator's exact plan
-/// (same queries, same partition_constraints fold).
+/// reconstructed bit-for-bit from the CONFIG frame.
 struct WorkerSetup {
   std::int32_t worker_count = 0;
   std::int32_t worker_index = 0;
@@ -148,14 +147,11 @@ void EncodeConfig(BinaryWriter* w, const WorkerSetup& s) {
   w->WriteI32(join.rtree.min_entries);
   w->WriteBool(join.rtree.enable_reinsert);
   w->WriteI32(s.options.cluster_options.dbscan.min_pts);
-  w->WriteU64(s.options.extra_queries.size());
-  for (const PatternQuery& q : s.options.extra_queries) {
-    w->WriteI32(q.constraints.m);
-    w->WriteI32(q.constraints.k);
-    w->WriteI32(q.constraints.l);
-    w->WriteI32(q.constraints.g);
-    w->WriteU8(static_cast<std::uint8_t>(q.enumerator));
-  }
+  w->WriteU8(static_cast<std::uint8_t>(s.options.enumerator));
+  w->WriteI32(s.options.constraints.m);
+  w->WriteI32(s.options.constraints.k);
+  w->WriteI32(s.options.constraints.l);
+  w->WriteI32(s.options.constraints.g);
   w->WriteBool(s.checkpointing);
   w->WriteI64(s.restored_id);
   w->WriteString(s.options.fault.stage);
@@ -209,21 +205,17 @@ bool DecodeConfig(BinaryReader* r, WorkerSetup* s) {
   join.rtree.min_entries = r->ReadI32();
   join.rtree.enable_reinsert = r->ReadBool();
   s->options.cluster_options.dbscan.min_pts = r->ReadI32();
-  const std::uint64_t queries = r->ReadU64();
-  if (!r->ok() || queries > r->remaining()) return false;
-  s->options.enumerator = EnumeratorKind::kNone;
-  for (std::uint64_t i = 0; i < queries; ++i) {
-    PatternQuery q;
-    q.constraints.m = r->ReadI32();
-    q.constraints.k = r->ReadI32();
-    q.constraints.l = r->ReadI32();
-    q.constraints.g = r->ReadI32();
-    const std::uint8_t kind = r->ReadU8();
-    if (kind > 2) return false;  // kBA/kFBA/kVBA; kNone never ships
-    q.enumerator = static_cast<EnumeratorKind>(kind);
-    if (!r->ok() || !q.constraints.IsValid()) return false;
-    s->options.extra_queries.push_back(q);
+  const std::uint8_t enumerator = r->ReadU8();
+  if (enumerator > static_cast<std::uint8_t>(EnumeratorKind::kNone)) {
+    return false;
   }
+  s->options.enumerator = static_cast<EnumeratorKind>(enumerator);
+  PatternConstraints& c = s->options.constraints;
+  c.m = r->ReadI32();
+  c.k = r->ReadI32();
+  c.l = r->ReadI32();
+  c.g = r->ReadI32();
+  if (!r->ok() || !c.IsValid()) return false;
   s->checkpointing = r->ReadBool();
   s->restored_id = r->ReadI64();
   s->options.fault.stage = r->ReadString();
@@ -295,20 +287,23 @@ bool FoldResult(BinaryReader* r, StageResults* results) {
   return true;
 }
 
-/// Ships a worker's pattern fold as PATTERNS frames. A chunk closes once
-/// it reaches kResultChunkBytes, so no frame comes near the frame limit
-/// however large the fold grows.
+/// Ships the pattern folds of subtasks [lo, hi) as PATTERNS frames, each
+/// tagged with its subtask. A chunk closes once it reaches
+/// kResultChunkBytes, so no frame comes near the frame limit however
+/// large a fold grows.
 void ShipPatterns(PeerLink* coord,
-                  const std::vector<pattern::PatternCollector>& collectors) {
+                  const std::vector<pattern::PatternCollector>& folds,
+                  std::int32_t lo, std::int32_t hi) {
   std::string payload;
   BinaryWriter writer(&payload);
-  for (std::size_t q = 0; q < collectors.size(); ++q) {
+  for (std::int32_t s = lo; s < hi; ++s) {
     std::size_t pending = 0;
-    for (const auto& [objects, pat] : collectors[q].entries()) {
+    for (const auto& [objects, pat] :
+         folds[static_cast<std::size_t>(s)].entries()) {
       if (pending == 0) {
         payload.clear();
         writer.WriteU8(kTagPatterns);
-        writer.WriteU64(q);
+        writer.WriteU64(static_cast<std::uint64_t>(s));
       }
       WritePattern(&writer, pat);
       ++pending;
@@ -321,32 +316,40 @@ void ShipPatterns(PeerLink* coord,
   }
 }
 
-/// Folds one PATTERNS chunk (reader past the tag) into the coordinator's
-/// collectors. Thread-safe against concurrent chunks.
-bool FoldPatterns(BinaryReader* r, StageResults* results) {
-  const std::uint64_t q = r->ReadU64();
-  if (!r->ok() || q >= results->collectors.size()) return false;
-  std::lock_guard<std::mutex> lock(results->collector_mu);
+/// Folds one PATTERNS chunk (reader past the tag) into the fold of its
+/// subtask, which must lie in [lo, hi) - the range of the sending worker.
+/// Only that worker's link reader writes those folds, so no lock is
+/// needed.
+bool FoldPatterns(BinaryReader* r, std::int32_t lo, std::int32_t hi,
+                  StageResults* results) {
+  const std::uint64_t s = r->ReadU64();
+  if (!r->ok() || s < static_cast<std::uint64_t>(lo) ||
+      s >= static_cast<std::uint64_t>(hi)) {
+    return false;
+  }
+  pattern::PatternCollector& fold = results->folds[s];
   while (!r->AtEnd()) {
     const CoMovementPattern pat = ReadPattern(r);
     if (!r->ok()) return false;
-    results->collectors[q].Add(pat);
+    fold.Add(pat);
   }
   return true;
 }
 
-pid_t SpawnWorker(const std::string& binary,
-                  const std::string& coord_address, std::int32_t index) {
+/// Re-executes this binary as worker `index` of the coordinator at
+/// `coord_address`.
+pid_t SpawnWorker(const std::string& coord_address, std::int32_t index) {
+  static constexpr char kSelf[] = "/proc/self/exe";
   const std::string index_arg = std::to_string(index);
   std::array<char*, 5> argv = {
-      const_cast<char*>(binary.c_str()),
+      const_cast<char*>(kSelf),
       const_cast<char*>(kNetWorkerFlag),
       const_cast<char*>(coord_address.c_str()),
       const_cast<char*>(index_arg.c_str()),
       nullptr,
   };
   pid_t pid = -1;
-  if (::posix_spawn(&pid, binary.c_str(), nullptr, nullptr, argv.data(),
+  if (::posix_spawn(&pid, kSelf, nullptr, nullptr, argv.data(),
                     environ) != 0) {
     return -1;
   }
@@ -415,8 +418,7 @@ int NetWorkerMain(const std::string& coordinator_address,
   // after CONFIG-send on the coordinator, and after PeerHello on both
   // mesh sides), which keeps the per-link frame counters symmetric
   // across a clean run.
-  const QueryPlan plan = BuildQueryPlan(setup.options);
-  const bool enumerate = plan.enumerate();
+  const bool enumerate = setup.options.enumerator != EnumeratorKind::kNone;
   const bool wcollect = setup.collect_stats;
   flow::StageStatsRegistry wstats;
   std::optional<flow::TraceRecorder> owned_wtrace;
@@ -579,12 +581,12 @@ int NetWorkerMain(const std::string& coordinator_address,
   }
 
   // --- Run state and the subtask environment. Acks and progress go to
-  // the coordinator as control frames; patterns fold into worker-local
-  // collectors shipped ahead of the RESULT (always transactional: commit
-  // happens only at a normal exit, so a crashed worker contributes
-  // nothing and recovery regenerates its patterns exactly).
+  // the coordinator as control frames; each enumerate subtask's fold is
+  // shipped ahead of the RESULT (a fold commits only at a normal exit, so
+  // a crashed worker contributes nothing and recovery regenerates its
+  // patterns exactly).
   FaultInjector injector(setup.options.fault);
-  StageResults results(plan.queries.size());
+  StageResults results(p);
 
   // Periodic + final stats shipping. SendFrame serialises on the link's
   // send mutex, so STATS frames from different subtask threads interleave
@@ -619,7 +621,6 @@ int NetWorkerMain(const std::string& coordinator_address,
 
   StageEnv env;
   env.options = &setup.options;
-  env.plan = &plan;
   env.tr = wtr;
   env.injector = &injector;
   env.crashed = &crashed;
@@ -659,7 +660,6 @@ int NetWorkerMain(const std::string& coordinator_address,
     maybe_ship_stats();
   };
   env.checkpointing = setup.checkpointing;
-  env.transactional = true;
   env.restored_id = setup.restored_id;
   env.pop_batch_max =
       std::max<std::size_t>(std::size_t{1}, setup.options.exchange_batch_size);
@@ -683,7 +683,7 @@ int NetWorkerMain(const std::string& coordinator_address,
   // The pattern chunks go first so the final stats count them; the final
   // observability frames then precede the RESULT on the same FIFO link,
   // so when the coordinator accounts the result, every merge is done.
-  ShipPatterns(&coord, results.collectors);
+  ShipPatterns(&coord, results.folds, setup.lo, setup.hi);
   if (wcollect) ship_stats(true);
   if (wtr != nullptr) {
     // Subtask threads are joined, so Events() is complete and sorted.
@@ -755,10 +755,8 @@ WorkerFleet::WorkerFleet(const DistributedOptions& dist, const StageEnv& env,
       Listen(CoordinatorAddress(dist.transport), &listen_error);
   COMOVE_CHECK_MSG(listener.valid(), "coordinator listen failed: %s",
                    listen_error.c_str());
-  const std::string binary =
-      dist.worker_binary.empty() ? "/proc/self/exe" : dist.worker_binary;
   for (std::int32_t w = 0; w < count_; ++w) {
-    const pid_t pid = SpawnWorker(binary, listener.address, w);
+    const pid_t pid = SpawnWorker(listener.address, w);
     COMOVE_CHECK_MSG(pid > 0, "cannot spawn worker process %d", w);
     pids_.push_back(pid);
   }
@@ -766,12 +764,13 @@ WorkerFleet::WorkerFleet(const DistributedOptions& dist, const StageEnv& env,
   std::vector<std::string> worker_addresses(
       static_cast<std::size_t>(count_));
   for (std::int32_t n = 0; n < count_; ++n) {
-    UniqueFd fd = Accept(listener, dist.connect_timeout_ms);
+    UniqueFd fd = Accept(listener, kWorkerHandshakeTimeoutMs);
     COMOVE_CHECK_MSG(fd.valid(), "timed out waiting for worker HELLO");
     auto link = std::make_unique<PeerLink>(std::move(fd));
     std::string frame;
-    COMOVE_CHECK_MSG(link->ReadFrameBlocking(&frame, dist.connect_timeout_ms),
-                     "worker handshake failed");
+    COMOVE_CHECK_MSG(
+        link->ReadFrameBlocking(&frame, kWorkerHandshakeTimeoutMs),
+        "worker handshake failed");
     BinaryReader reader(frame);
     const std::uint8_t tag = reader.ReadU8();
     const auto index = static_cast<std::int32_t>(reader.ReadU32());
@@ -797,8 +796,8 @@ WorkerFleet::WorkerFleet(const DistributedOptions& dist, const StageEnv& env,
     setup.options.exchange_batch_size = options.exchange_batch_size;
     setup.options.clustering = options.clustering;
     setup.options.cluster_options = options.cluster_options;
-    setup.options.enumerator = EnumeratorKind::kNone;
-    setup.options.extra_queries = env.plan->queries;
+    setup.options.enumerator = options.enumerator;
+    setup.options.constraints = options.constraints;
     setup.options.fault = options.fault;
     setup.checkpointing = env.checkpointing;
     setup.restored_id = env.restored_id;
@@ -839,7 +838,9 @@ WorkerFleet::WorkerFleet(const DistributedOptions& dist, const StageEnv& env,
     for (std::int32_t w = 0; w < count_; ++w) {
       const std::string prefix = "w" + std::to_string(w) + ":";
       stats_->Get(prefix + "assembler->cluster");
-      if (env.plan->enumerate()) stats_->Get(prefix + "cluster->enumerate");
+      if (options.enumerator != EnumeratorKind::kNone) {
+        stats_->Get(prefix + "cluster->enumerate");
+      }
       stats_->Get(prefix + "link:coord");
       for (std::int32_t j = 0; j < count_; ++j) {
         if (j != w) stats_->Get(prefix + "link:w" + std::to_string(j));
@@ -908,9 +909,12 @@ void WorkerFleet::OnFrame(std::int32_t w, std::string_view payload) {
       env_.progress(subtask, through);
       break;
     }
-    case kTagPatterns:
-      if (!FoldPatterns(&reader, results_)) Account(w, false);
+    case kTagPatterns: {
+      const auto [lo, hi] =
+          SubtaskRange(env_.options->parallelism, count_, w);
+      if (!FoldPatterns(&reader, lo, hi, results_)) Account(w, false);
       break;
+    }
     case kTagResult:
       if (FoldResult(&reader, results_)) Account(w, true);
       break;

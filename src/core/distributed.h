@@ -12,7 +12,7 @@
 /// The multi-process deployment of the ICPE pipeline - the "distributed"
 /// in the paper's title made real. One coordinator process hosts the
 /// source, the assembler, the checkpoint coordinator, and all run-level
-/// accounting (latency metrics, completion tracking, pattern collectors);
+/// accounting (latency metrics, completion tracking, the pattern merge);
 /// W worker processes each host a contiguous range of the cluster and
 /// enumerate subtasks. Edges that cross a process boundary run over the
 /// flow/net SocketTransport (UNIX-domain or TCP loopback), with data,
@@ -26,9 +26,11 @@
 ///
 /// Control traffic shares the data links: workers ack checkpoints,
 /// report completion progress, ship periodic and final stage-stats
-/// snapshots plus their trace events, and deliver their pattern folds
-/// (in chunks of at most about kResultChunkBytes) and final counters back
-/// to the coordinator as framed control messages.
+/// snapshots plus their trace events, and deliver each enumerate
+/// subtask's pattern fold (in chunks of at most about kResultChunkBytes)
+/// and final counters back to the coordinator as framed control messages.
+/// Worker processes re-execute the calling binary (/proc/self/exe), so it
+/// must route the sentinel argv through MaybeNetWorker early in main().
 
 namespace comove::core {
 
@@ -41,18 +43,12 @@ struct DistributedOptions {
   /// "unix" (UNIX-domain stream sockets under /tmp) or "tcp" (loopback
   /// with ephemeral ports).
   std::string transport = "unix";
-  /// Binary to spawn as worker processes; it must route the sentinel
-  /// argv through MaybeNetWorker early in main(). Empty uses
-  /// /proc/self/exe, i.e. re-executes the calling binary.
-  std::string worker_binary;
-  /// Budget for every blocking handshake step (connect, HELLO, CONFIG).
-  std::int64_t connect_timeout_ms = 15000;
 };
 
 /// First argv of a spawned worker process.
 inline constexpr char kNetWorkerFlag[] = "--comove-net-worker";
 
-/// A worker's pattern fold reaches the coordinator as a sequence of
+/// Each pattern fold of a worker reaches the coordinator as a sequence of
 /// control frames, each closed once it holds this many bytes - far below
 /// the transport's per-frame limit however large the fold grows.
 inline constexpr std::size_t kResultChunkBytes = std::size_t{16} << 20;

@@ -48,26 +48,21 @@ std::string BuildFingerprint(const trajgen::Dataset& dataset,
         std::to_string(options.cluster_options.join.grid_cell_width);
   fp += ";minpts=" +
         std::to_string(options.cluster_options.dbscan.min_pts);
-  const auto add_query = [&fp](const PatternQuery& q) {
-    fp += ";q=" + std::to_string(q.constraints.m) + "," +
-          std::to_string(q.constraints.k) + "," +
-          std::to_string(q.constraints.l) + "," +
-          std::to_string(q.constraints.g) + "," +
-          EnumeratorKindName(q.enumerator);
-  };
   if (options.enumerator != EnumeratorKind::kNone) {
-    add_query(PatternQuery{options.constraints, options.enumerator});
+    const PatternConstraints& c = options.constraints;
+    fp += ";q=" + std::to_string(c.m) + "," + std::to_string(c.k) + "," +
+          std::to_string(c.l) + "," + std::to_string(c.g) + "," +
+          EnumeratorKindName(options.enumerator);
   }
-  for (const PatternQuery& q : options.extra_queries) add_query(q);
   return fp;
 }
 
 namespace {
 
-/// The one pipeline driver. The coordinator side - validation, the query
-/// plan, tracing, stats and sampling, checkpoint restore and
-/// coordination, the source and assembler subtasks, completion tracking,
-/// the collectors and result assembly - is the same for every
+/// The one pipeline driver. The coordinator side - validation, tracing,
+/// stats and sampling, checkpoint restore and coordination, the source
+/// and assembler subtasks, completion tracking, the merge of the
+/// per-subtask pattern folds and result assembly - is the same for every
 /// deployment. Only where the cluster and enumerate subtasks run
 /// differs: with zero workers they run on this process's threads over
 /// Exchange edges; otherwise in `deployment.workers` spawned processes
@@ -89,19 +84,14 @@ IcpeResult RunPipeline(const trajgen::Dataset& dataset,
                      "need 1 <= workers <= parallelism");
   }
 
-  // The query set: the primary query (unless kNone) plus extras, all
-  // evaluated over one shared cluster stream.
-  const QueryPlan plan = BuildQueryPlan(options);
+  const bool enumerate = options.enumerator != EnumeratorKind::kNone;
 
   // --- Tracing (zero-cost when off: `tr` stays null and every record
-  // site is one untaken branch). An explicit recorder wins; a bare
-  // trace_path gets a run-owned recorder whose events are written on exit.
-  std::optional<flow::TraceRecorder> owned_trace;
+  // site is one untaken branch). A trace_path gets a run-owned recorder
+  // whose events are written on exit.
+  std::optional<flow::TraceRecorder> recorder;
   flow::TraceRecorder* const tr =
-      options.trace != nullptr
-          ? options.trace
-          : (!options.trace_path.empty() ? &owned_trace.emplace()
-                                         : nullptr);
+      options.trace_path.empty() ? nullptr : &recorder.emplace();
   /// How many of the slowest snapshots get a per-stage breakdown.
   constexpr std::size_t kWorstSnapshots = 5;
 
@@ -161,7 +151,7 @@ IcpeResult RunPipeline(const trajgen::Dataset& dataset,
 
   std::optional<flow::CheckpointCoordinator> coordinator;
   if (checkpointing) {
-    const std::int32_t expected_acks = 2 + p + (plan.enumerate() ? p : 0);
+    const std::int32_t expected_acks = 2 + p + (enumerate ? p : 0);
     coordinator.emplace(expected_acks, options.snapshot_store, fingerprint,
                         stats_for("checkpoint"), restored_id);
   }
@@ -173,13 +163,12 @@ IcpeResult RunPipeline(const trajgen::Dataset& dataset,
   // the individual values, not just the histogram.
   if (tr != nullptr) metrics.KeepPerSnapshot(true);
   CompletionTracker tracker(p);
-  StageResults results(plan.queries.size());
+  StageResults results(p);
 
   // --- The subtask environment of this process. Acks go straight into
   // the coordinator; completion progress marks snapshots answered.
   StageEnv env;
   env.options = &options;
-  env.plan = &plan;
   env.tr = tr;
   env.injector = &injector;
   env.crashed = &crashed;
@@ -209,7 +198,6 @@ IcpeResult RunPipeline(const trajgen::Dataset& dataset,
     }
   };
   env.checkpointing = checkpointing;
-  env.transactional = checkpointing || restored.has_value();
   env.restored_id = restored_id;
   // Consumers drain up to this many already-queued elements per lock
   // acquisition; PopBatch never waits to fill a batch, so a larger value
@@ -283,19 +271,7 @@ IcpeResult RunPipeline(const trajgen::Dataset& dataset,
     result.checkpoints_completed = coordinator->completed_count();
     result.checkpoints_failed = coordinator->failed_count();
   }
-  std::vector<pattern::PatternCollector>& collectors = results.collectors;
-  if (!collectors.empty() &&
-      options.enumerator != EnumeratorKind::kNone) {
-    result.patterns = collectors[0].Patterns();
-    for (std::size_t q = 1; q < collectors.size(); ++q) {
-      result.extra_patterns.push_back(collectors[q].Patterns());
-    }
-  } else {
-    // Primary was kNone: every collector belongs to an extra query.
-    for (auto& collector : collectors) {
-      result.extra_patterns.push_back(collector.Patterns());
-    }
-  }
+  result.patterns = MergeFolds(results.folds);
   result.snapshots = metrics.Collect();
   if (collect_stats) result.stage_stats = stats_registry.Snapshot();
   if (sampler) result.time_series = sampler->samples();
@@ -317,15 +293,13 @@ IcpeResult RunPipeline(const trajgen::Dataset& dataset,
     }
     result.worst_snapshots = flow::BuildWorstSnapshotBreakdown(
         merged, metrics.PerSnapshot(), kWorstSnapshots);
-    if (!options.trace_path.empty()) {
-      std::ofstream out(options.trace_path);
-      COMOVE_CHECK_MSG(out.good(), "cannot open trace_path %s",
-                       options.trace_path.c_str());
-      if (fleet) {
-        flow::WriteChromeTraceMerged(processes, out);
-      } else {
-        tr->WriteChromeTrace(out);
-      }
+    std::ofstream out(options.trace_path);
+    COMOVE_CHECK_MSG(out.good(), "cannot open trace_path %s",
+                     options.trace_path.c_str());
+    if (fleet) {
+      flow::WriteChromeTraceMerged(processes, out);
+    } else {
+      tr->WriteChromeTrace(out);
     }
   }
   const PipelineCounters& counters = results.counters;

@@ -47,14 +47,6 @@ enum class EnumeratorKind {
 /// Printable enumerator name ("BA", "FBA", "VBA", "none").
 const char* EnumeratorKindName(EnumeratorKind kind);
 
-/// One additional pattern query evaluated on the shared cluster stream
-/// (multi-query mode): clustering cost is paid once, enumeration runs per
-/// query. See IcpeOptions::extra_queries.
-struct PatternQuery {
-  PatternConstraints constraints{2, 4, 2, 2};
-  EnumeratorKind enumerator = EnumeratorKind::kFBA;
-};
-
 /// Full pipeline configuration.
 struct IcpeOptions {
   cluster::ClusteringMethod clustering = cluster::ClusteringMethod::kRJC;
@@ -92,8 +84,7 @@ struct IcpeOptions {
   /// enumeration subtask proves a pattern (before deduplication, so the
   /// same object set may be reported more than once with different
   /// witnesses). Invocations are serialised by the engine; the callback
-  /// need not be thread-safe but must not block for long. In multi-query
-  /// mode the callback receives patterns of ALL queries.
+  /// need not be thread-safe but must not block for long.
   std::function<void(const CoMovementPattern&)> on_pattern;
 
   /// When true, every inter-stage exchange reports per-stage counters
@@ -102,14 +93,6 @@ struct IcpeOptions {
   /// default: the instrumented path adds a few atomic ops per element, the
   /// disabled path only untaken branches.
   bool collect_stats = false;
-
-  /// Additional pattern queries sharing the clustering stage (the join
-  /// and DBSCAN cost is paid once for all queries; each enumeration
-  /// subtask runs one enumerator per query). Id-based partitions are
-  /// computed with the smallest M across all queries - a superset of each
-  /// query's own partitions, which is harmless: enumeration enforces the
-  /// per-query M (Lemma 3 only ever removes work, never results).
-  std::vector<PatternQuery> extra_queries;
 
   /// When > 0, the source injects a checkpoint barrier every this many
   /// snapshot times; every operator snapshots its state at the aligned
@@ -136,15 +119,9 @@ struct IcpeOptions {
   /// When non-empty, the run records per-stage spans (see flow/trace.h)
   /// and writes them as Chrome trace_event JSON to this path - loadable
   /// in chrome://tracing or Perfetto. Tracing also retains per-snapshot
-  /// latencies to build IcpeResult::worst_snapshots.
-  std::string trace_path;
-
-  /// External span recorder (not owned; must outlive the run). When set,
-  /// the engine records into it instead of (or in addition to - see
-  /// trace_path) its own recorder; useful for tests and for aggregating
-  /// several runs into one timeline. Null + empty trace_path = tracing
+  /// latencies to build IcpeResult::worst_snapshots. Empty = tracing
   /// fully off (the hot paths pay one untaken branch).
-  flow::TraceRecorder* trace = nullptr;
+  std::string trace_path;
 
   /// When > 0, a MetricsSampler thread snapshots every stage's counters
   /// at this cadence into IcpeResult::time_series (implies stats
@@ -154,10 +131,9 @@ struct IcpeOptions {
 
 /// Everything a pipeline run reports.
 struct IcpeResult {
-  std::vector<CoMovementPattern> patterns;  ///< deduplicated (primary query)
-  /// Per-extra-query deduplicated patterns, index-aligned with
-  /// IcpeOptions::extra_queries.
-  std::vector<std::vector<CoMovementPattern>> extra_patterns;
+  /// Deduplicated patterns, strictly increasing by object set: the merge
+  /// of every enumerate subtask's fold.
+  std::vector<CoMovementPattern> patterns;
   flow::RunMetrics snapshots;      ///< latency (avg/max/p50/p95/p99) + tps
   /// Per-exchange counters in pipeline order (source -> assembler ->
   /// cluster -> enumerate); empty unless IcpeOptions::collect_stats was
@@ -170,7 +146,7 @@ struct IcpeResult {
   std::int64_t cluster_count = 0;  ///< clusters across all snapshots
   std::int64_t snapshot_count = 0;
 
-  /// Delta-path effectiveness, summed over every cluster/query worker;
+  /// Delta-path effectiveness, summed over every cluster worker;
   /// all zero unless ClusteringOptions::join.incremental was set.
   /// `delta_cells_seen` counts occupied (cell, snapshot) pairs,
   /// `delta_cells_replayed` how many were served from the per-cell memo
@@ -180,8 +156,8 @@ struct IcpeResult {
   std::int64_t delta_cells_replayed = 0;
   std::int64_t delta_dbscan_replays = 0;
 
-  /// Enumeration-stage counters, summed over every enumeration worker and
-  /// query as the workers exit (all zero with EnumeratorKind::kNone).
+  /// Enumeration-stage counters, summed over every enumeration worker as
+  /// the workers exit (all zero with EnumeratorKind::kNone).
   /// Opened/closed count per-(owner, trajectory) membership bit strings
   /// (BA: subset candidates); peak is the high-water mark of live strings
   /// (VBA: retained closed candidates). Apriori nodes/pruned tally

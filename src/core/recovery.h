@@ -21,8 +21,7 @@
 namespace comove::core {
 
 /// Which subtask crashes, and when. `stage` is empty for "no fault";
-/// recognised names are "cluster" (the cluster worker in snapshot-parallel
-/// mode, the grid-sync worker in cells mode) and "enumerate".
+/// recognised names are "cluster" and "enumerate".
 struct FaultSpec {
   std::string stage;
   std::int32_t subtask = 0;

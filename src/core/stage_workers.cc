@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
+#include <map>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -18,10 +21,13 @@
 #include "flow/watermark_aligner.h"
 #include "pattern/baseline_enumerator.h"
 #include "pattern/fixed_bit_enumerator.h"
+#include "pattern/streaming_enumerator.h"
 #include "pattern/variable_bit_enumerator.h"
 
 namespace comove::core {
+namespace {
 
+/// Builds the enumerator `kind` (not kNone) for `constraints`.
 std::unique_ptr<pattern::StreamingEnumerator> MakeEnumerator(
     EnumeratorKind kind, const PatternConstraints& constraints,
     pattern::PatternSink sink) {
@@ -42,28 +48,47 @@ std::unique_ptr<pattern::StreamingEnumerator> MakeEnumerator(
   return nullptr;
 }
 
-QueryPlan BuildQueryPlan(const IcpeOptions& options) {
-  QueryPlan plan;
-  if (options.enumerator != EnumeratorKind::kNone) {
-    plan.queries.push_back(
-        PatternQuery{options.constraints, options.enumerator});
+}  // namespace
+
+std::vector<CoMovementPattern> MergeFolds(
+    std::vector<pattern::PatternCollector>& folds) {
+  using Entries = std::map<std::vector<TrajectoryId>, CoMovementPattern>;
+  std::vector<Entries> runs;
+  runs.reserve(folds.size());
+  std::size_t total = 0;
+  for (pattern::PatternCollector& fold : folds) {
+    total += fold.size();
+    runs.push_back(fold.TakeEntries());
   }
-  for (const PatternQuery& q : options.extra_queries) {
-    COMOVE_CHECK(q.constraints.IsValid());
-    COMOVE_CHECK(q.enumerator != EnumeratorKind::kNone);
-    plan.queries.push_back(q);
+  struct Head {
+    Entries::iterator next;
+    Entries::iterator end;
+  };
+  std::vector<Head> heads;
+  for (Entries& run : runs) {
+    if (!run.empty()) heads.push_back(Head{run.begin(), run.end()});
   }
-  // Partitions are computed once with the loosest significance bound; the
-  // per-query M is enforced during enumeration (Lemma 3 only removes
-  // work, never results).
-  plan.partition_constraints = plan.enumerate()
-                                   ? plan.queries.front().constraints
-                                   : options.constraints;
-  for (const PatternQuery& q : plan.queries) {
-    plan.partition_constraints.m =
-        std::min(plan.partition_constraints.m, q.constraints.m);
+  // A min-heap on each fold's next object set.
+  const auto later = [](const Head& a, const Head& b) {
+    return b.next->first < a.next->first;
+  };
+  std::make_heap(heads.begin(), heads.end(), later);
+  std::vector<CoMovementPattern> merged;
+  merged.reserve(total);
+  while (!heads.empty()) {
+    std::pop_heap(heads.begin(), heads.end(), later);
+    Head& head = heads.back();
+    COMOVE_CHECK_MSG(
+        merged.empty() || merged.back().objects < head.next->first,
+        "an object set occurs in two enumerate subtasks' folds");
+    merged.push_back(std::move(head.next->second));
+    if (++head.next == head.end) {
+      heads.pop_back();
+    } else {
+      std::push_heap(heads.begin(), heads.end(), later);
+    }
   }
-  return plan;
+  return merged;
 }
 
 void RunSourceSubtask(const trajgen::Dataset& dataset, const StageEnv& env,
@@ -241,8 +266,7 @@ void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
                        flow::Channel<flow::Element<Snapshot>>& input,
                        flow::Transport<pattern::Partition>& out) {
   const IcpeOptions& options = *env.options;
-  const QueryPlan& plan = *env.plan;
-  const bool enumerate = plan.enumerate();
+  const bool enumerate = options.enumerator != EnumeratorKind::kNone;
   flow::TraceRecorder* const tr = env.tr;
   const std::int32_t p = out.consumers();
   PipelineCounters& counters = results.counters;
@@ -276,7 +300,7 @@ void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
       }
       if (enumerate) {
         for (pattern::Partition& part :
-             pattern::MakePartitions(clustered, plan.partition_constraints)) {
+             pattern::MakePartitions(clustered, options.constraints)) {
           const std::size_t target = OwnerPartition(part.owner, p);
           partition_sender.Send(target, std::move(part));
         }
@@ -328,80 +352,51 @@ void RunEnumerateSubtask(
     flow::StageStats* ack_stats,
     flow::Channel<flow::Element<pattern::Partition>>& input) {
   const IcpeOptions& options = *env.options;
-  const std::vector<PatternQuery>& queries = env.plan->queries;
   const std::int32_t producers = options.parallelism;
   flow::TraceRecorder* const tr = env.tr;
   PipelineCounters& counters = results.counters;
-  // Exactly-once sinks: while checkpointing (or resuming), patterns
-  // are folded into per-query worker-local collectors that are part of
-  // the checkpointed state, and merged into the shared collectors only
+  // Exactly-once sink: patterns fold into this subtask's collector, which
+  // is part of the checkpointed state and moves into results.folds only
   // at a NORMAL exit. A crash discards the uncommitted tail; recovery
   // restores the fold as of the cut and regenerates the rest - so the
   // merged output is bit-identical to a failure-free run. Folding
-  // (instead of logging raw emissions) is safe because the shared
-  // merge applies the same keep-longest-per-object-set rule, and keeps
-  // checkpoint state proportional to distinct patterns rather than
-  // total emissions.
-  const bool transactional = env.transactional;
-  std::vector<pattern::PatternCollector> logs(queries.size());
-  auto sink_for = [&](std::size_t q) -> pattern::PatternSink {
-    if (!transactional) {
-      return [&results, &options, q](const CoMovementPattern& pat) {
-        std::lock_guard<std::mutex> lock(results.collector_mu);
-        results.collectors[q].Add(pat);
-        if (options.on_pattern) options.on_pattern(pat);
-      };
-    }
-    return [&logs, &results, &options, q](const CoMovementPattern& pat) {
-      logs[q].Add(pat);
-      if (options.on_pattern) {
-        std::lock_guard<std::mutex> lock(results.collector_mu);
-        options.on_pattern(pat);
-      }
+  // (instead of logging raw emissions) keeps checkpoint state
+  // proportional to distinct patterns rather than total emissions.
+  pattern::PatternCollector fold;
+  pattern::PatternSink sink = fold.AsSink();
+  if (options.on_pattern) {
+    sink = [&fold, &results, &options](const CoMovementPattern& pat) {
+      fold.Add(pat);
+      std::lock_guard<std::mutex> lock(results.on_pattern_mu);
+      options.on_pattern(pat);
     };
-  };
-  // One enumerator per query; all consume the shared partition stream.
-  std::vector<std::unique_ptr<pattern::StreamingEnumerator>> enumerators;
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    enumerators.push_back(MakeEnumerator(queries[q].enumerator,
-                                         queries[q].constraints,
-                                         sink_for(q)));
   }
+  const std::unique_ptr<pattern::StreamingEnumerator> enumerator =
+      MakeEnumerator(options.enumerator, options.constraints,
+                     std::move(sink));
   flow::WatermarkAligner aligner(producers);
   flow::TimeReorderBuffer<pattern::Partition> buffer;
+  // The enumerate state is: aligner, reorder buffer, a count of 1, the
+  // enumerator, and the fold. The count is the query count of the
+  // retired multi-query layout; it stays as a format field, always 1, so
+  // checkpoints written in that layout still restore.
+  constexpr std::uint64_t kStateQueryCount = 1;
   if (const std::string* bytes = env.restored_state("enumerate", worker)) {
     BinaryReader reader(*bytes);
     COMOVE_CHECK_MSG(aligner.RestoreState(&reader),
                      "corrupt enumerate checkpoint");
     COMOVE_CHECK_MSG(buffer.RestoreState(&reader, ReadPartition),
                      "corrupt enumerate checkpoint");
-    const std::uint64_t query_count = reader.ReadU64();
-    COMOVE_CHECK_MSG(reader.ok() && query_count == queries.size(),
+    COMOVE_CHECK_MSG(reader.ReadU64() == kStateQueryCount && reader.ok() &&
+                         enumerator->RestoreState(&reader),
                      "corrupt enumerate checkpoint");
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      COMOVE_CHECK_MSG(enumerators[q]->RestoreState(&reader),
-                       "corrupt enumerate checkpoint");
-      const std::uint64_t emitted = reader.ReadU64();
-      if (!reader.ok()) break;
-      for (std::uint64_t i = 0; i < emitted && reader.ok(); ++i) {
-        logs[q].Add(ReadPattern(&reader));
-      }
+    const std::uint64_t emitted = reader.ReadU64();
+    for (std::uint64_t i = 0; i < emitted && reader.ok(); ++i) {
+      fold.Add(ReadPattern(&reader));
     }
     COMOVE_CHECK_MSG(reader.ok() && reader.AtEnd(),
                      "corrupt enumerate checkpoint");
   }
-
-  // The worker is done with a time only when EVERY query is.
-  auto finalized_through = [&]() {
-    Timestamp through = kEndOfStreamTime;
-    for (const auto& e : enumerators) {
-      const Timestamp f = e->FinalizedThrough();
-      through = std::min(
-          through,
-          f == kNoTime ? std::numeric_limits<Timestamp>::min() : f);
-    }
-    return through;
-  };
 
   auto feed =
       [&](std::vector<std::pair<Timestamp, pattern::Partition>> batch) {
@@ -415,13 +410,7 @@ void RunEnumerateSubtask(
           }
           Stopwatch watch;
           const std::uint64_t t0 = tr != nullptr ? tr->NowNs() : 0;
-          for (std::size_t q = 0; q < enumerators.size(); ++q) {
-            // The last query consumes the originals; earlier ones copies.
-            enumerators[q]->OnPartitions(
-                t, q + 1 == enumerators.size()
-                       ? std::move(parts)
-                       : std::vector<pattern::Partition>(parts));
-          }
+          enumerator->OnPartitions(t, std::move(parts));
           results.enum_time.Add(watch.ElapsedMillis());
           if (tr != nullptr) {
             tr->RecordSpanSince("enumerate", "tick", worker, t, t0);
@@ -438,13 +427,15 @@ void RunEnumerateSubtask(
       feed(buffer.DrainThrough(w));
       if (w != kEndOfStreamTime) {
         Stopwatch watch;
-        for (const auto& e : enumerators) e->AdvanceTime(w);
+        enumerator->AdvanceTime(w);
         results.enum_time.Add(watch.ElapsedMillis());
       }
       // A snapshot counts as answered once its pattern decisions
-      // are final across every query (for VBA this is deferred
-      // until strings close - the §6.3 latency/throughput trade).
-      env.progress(worker, finalized_through());
+      // are final (for VBA this is deferred until strings close - the
+      // §6.3 latency/throughput trade).
+      const Timestamp f = enumerator->FinalizedThrough();
+      env.progress(worker,
+                   f == kNoTime ? std::numeric_limits<Timestamp>::min() : f);
     }
   };
   bool alive = true;
@@ -463,13 +454,11 @@ void RunEnumerateSubtask(
     BinaryWriter writer(&state);
     aligner.SaveState(&writer);
     buffer.SaveState(&writer, WritePartition);
-    writer.WriteU64(enumerators.size());
-    for (std::size_t q = 0; q < enumerators.size(); ++q) {
-      enumerators[q]->SaveState(&writer);
-      writer.WriteU64(logs[q].size());
-      for (const auto& [objects, pat] : logs[q].entries()) {
-        WritePattern(&writer, pat);
-      }
+    writer.WriteU64(kStateQueryCount);
+    enumerator->SaveState(&writer);
+    writer.WriteU64(fold.size());
+    for (const auto& [objects, pat] : fold.entries()) {
+      WritePattern(&writer, pat);
     }
     last_state_bytes = state.size();
     env.ack(id, "enumerate", worker, std::move(state), ack_stats);
@@ -488,30 +477,21 @@ void RunEnumerateSubtask(
       }
     }
   }
-  if (env.crashed->load()) return;  // uncommitted logs die with the crash
+  if (env.crashed->load()) return;  // the uncommitted fold dies too
   feed(buffer.DrainAll());
-  for (const auto& e : enumerators) e->Finish();
-  for (const auto& e : enumerators) {
-    const pattern::EnumerationStats es = e->enumeration_stats();
-    counters.enum_strings_opened.fetch_add(es.strings_opened,
-                                           std::memory_order_relaxed);
-    counters.enum_strings_closed.fetch_add(es.strings_closed,
-                                           std::memory_order_relaxed);
-    counters.enum_candidates_peak.fetch_add(es.candidates_peak,
-                                            std::memory_order_relaxed);
-    counters.enum_apriori_nodes.fetch_add(es.apriori_nodes,
+  enumerator->Finish();
+  const pattern::EnumerationStats es = enumerator->enumeration_stats();
+  counters.enum_strings_opened.fetch_add(es.strings_opened,
+                                         std::memory_order_relaxed);
+  counters.enum_strings_closed.fetch_add(es.strings_closed,
+                                         std::memory_order_relaxed);
+  counters.enum_candidates_peak.fetch_add(es.candidates_peak,
                                           std::memory_order_relaxed);
-    counters.enum_apriori_pruned.fetch_add(es.apriori_pruned,
-                                           std::memory_order_relaxed);
-  }
-  if (transactional) {
-    std::lock_guard<std::mutex> lock(results.collector_mu);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      for (const CoMovementPattern& pat : logs[q].Patterns()) {
-        results.collectors[q].Add(pat);
-      }
-    }
-  }
+  counters.enum_apriori_nodes.fetch_add(es.apriori_nodes,
+                                        std::memory_order_relaxed);
+  counters.enum_apriori_pruned.fetch_add(es.apriori_pruned,
+                                         std::memory_order_relaxed);
+  results.folds[static_cast<std::size_t>(worker)] = std::move(fold);
   env.progress(worker, kEndOfStreamTime);
 }
 
@@ -529,7 +509,7 @@ void SpawnStageSubtasks(flow::TaskGroup& tasks, std::int32_t lo,
                         snapshots.channel(s), partitions);
     });
   }
-  if (!env.plan->enumerate()) return;
+  if (env.options->enumerator == EnumeratorKind::kNone) return;
   for (std::int32_t s = lo; s < hi; ++s) {
     tasks.Spawn([&env, &results, &partitions, partition_stats, s] {
       RunEnumerateSubtask(s, env, results, partition_stats,

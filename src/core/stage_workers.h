@@ -4,8 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <limits>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -18,7 +16,6 @@
 #include "flow/task_group.h"
 #include "pattern/enumerator.h"
 #include "pattern/partition.h"
-#include "pattern/streaming_enumerator.h"
 
 /// \file
 /// The ICPE pipeline's subtask bodies, shared by every deployment: the
@@ -34,10 +31,6 @@
 /// the tracker - enters through StageEnv as callbacks.
 
 namespace comove::core {
-
-/// Sentinel watermark closing the stream ("no more snapshots ever").
-inline constexpr Timestamp kEndOfStreamTime =
-    std::numeric_limits<Timestamp>::max();
 
 /// Partition routing of id-based partitions: Knuth multiplicative mix;
 /// trajectory ids are dense so a plain modulo would correlate with the
@@ -84,38 +77,33 @@ struct PipelineCounters {
   std::atomic<std::int64_t> enum_apriori_pruned{0};
 };
 
-/// Builds the enumerator a PatternQuery asks for.
-std::unique_ptr<pattern::StreamingEnumerator> MakeEnumerator(
-    EnumeratorKind kind, const PatternConstraints& constraints,
-    pattern::PatternSink sink);
-
-/// The query set of a run plus the loosest partitioning bound: partitions
-/// are computed once with the smallest M across queries (Lemma 3 only
-/// removes work, never results); each query enforces its own M during
-/// enumeration.
-struct QueryPlan {
-  std::vector<PatternQuery> queries;
-  PatternConstraints partition_constraints;
-
-  bool enumerate() const { return !queries.empty(); }
-};
-
-QueryPlan BuildQueryPlan(const IcpeOptions& options);
-
 /// Everything the cluster and enumerate subtasks of one process fold
 /// their results into as they exit: run counters, compute times, and one
-/// pattern collector per query. The coordinator owns the run's instance;
-/// a worker process owns one for its subtask range and ships it back.
+/// pattern fold per enumerate subtask. The coordinator owns the run's
+/// instance; a worker process owns one for its subtask range and ships
+/// it back.
 struct StageResults {
-  explicit StageResults(std::size_t queries) : collectors(queries) {}
+  explicit StageResults(std::int32_t subtasks)
+      : folds(static_cast<std::size_t>(subtasks)) {}
 
   PipelineCounters counters;
   TimeAccumulator cluster_time;
   TimeAccumulator enum_time;
-  /// Guards `collectors` and serialises the on_pattern callback.
-  std::mutex collector_mu;
-  std::vector<pattern::PatternCollector> collectors;
+  /// Serialises the on_pattern callback across enumerate subtasks.
+  std::mutex on_pattern_mu;
+  /// Indexed by enumerate subtask. Each slot is written by exactly one
+  /// thread: its subtask at a normal exit (in process), or the link
+  /// reader of the worker hosting that subtask (on the coordinator).
+  std::vector<pattern::PatternCollector> folds;
 };
+
+/// Merges the per-subtask folds into one list strictly increasing by
+/// object set, consuming them. Every pattern holds its owner as its
+/// smallest id and OwnerPartition places each owner on exactly one
+/// subtask, so no object set occurs in two folds and a k-way merge is
+/// the whole job. Both deployments assemble IcpeResult::patterns here.
+std::vector<CoMovementPattern> MergeFolds(
+    std::vector<pattern::PatternCollector>& folds);
 
 /// Acknowledges one operator's checkpoint snapshot: (id, op, subtask,
 /// state bytes, the stats row the snapshot size is charged to).
@@ -138,7 +126,6 @@ using ProgressFn = std::function<void(std::int32_t, Timestamp)>;
 /// worker process.
 struct StageEnv {
   const IcpeOptions* options = nullptr;
-  const QueryPlan* plan = nullptr;
   flow::TraceRecorder* tr = nullptr;
   FaultInjector* injector = nullptr;
   std::atomic<bool>* crashed = nullptr;
@@ -149,11 +136,6 @@ struct StageEnv {
   RestoredStateFn restored_state;
   ProgressFn progress;
   bool checkpointing = false;
-  /// Exactly-once enumeration: patterns fold into a subtask-local
-  /// collector that is part of the checkpointed state and is merged into
-  /// StageResults only at a normal exit. Off: every emission goes
-  /// straight to the shared collectors.
-  bool transactional = false;
   std::int64_t restored_id = 0;
   /// Consumers drain up to this many queued elements per lock round-trip.
   std::size_t pop_batch_max = 1;
@@ -184,8 +166,11 @@ void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
                        flow::Channel<flow::Element<Snapshot>>& input,
                        flow::Transport<pattern::Partition>& out);
 
-/// Enumeration subtask `worker`: one enumerator per query over the shared
-/// partition stream, releasing ticks in order via aligned watermarks.
+/// Enumeration subtask `worker`: one enumerator over the subtask's
+/// partition stream, releasing ticks in order via aligned watermarks. Its
+/// patterns fold into a subtask-local collector - part of the
+/// checkpointed state - that moves into results.folds[worker] only at a
+/// normal exit.
 void RunEnumerateSubtask(
     std::int32_t worker, const StageEnv& env, StageResults& results,
     flow::StageStats* ack_stats,

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/constraints.h"
@@ -69,6 +70,12 @@ class PatternCollector {
   }
 
   std::size_t size() const { return patterns_.size(); }
+
+  /// Moves the deduplicated patterns out, ordered by object set, and
+  /// leaves the collector empty.
+  std::map<std::vector<TrajectoryId>, CoMovementPattern> TakeEntries() {
+    return std::exchange(patterns_, {});
+  }
 
  private:
   std::map<std::vector<TrajectoryId>, CoMovementPattern> patterns_;

@@ -1,12 +1,16 @@
 #include "trajgen/csv_loader.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 #include <string_view>
+#include <tuple>
+#include <vector>
 
 namespace comove::trajgen {
 
@@ -60,7 +64,13 @@ bool ParseDouble(std::string_view s, double* out) {
 CsvLoadResult LoadCsvDataset(std::istream& in, const std::string& name,
                              Dataset* dataset) {
   CsvLoadResult result;
-  DatasetBuilder builder(name);
+  struct Row {
+    Timestamp time;
+    TrajectoryId id;
+    std::size_t line;
+    Point location;
+  };
+  std::vector<Row> rows;
   std::string line;
   std::size_t line_number = 0;
   while (std::getline(in, line)) {
@@ -95,19 +105,43 @@ CsvLoadResult LoadCsvDataset(std::istream& in, const std::string& name,
                      ": id/time must be integers";
       return result;
     }
-    if (!ParseDouble(fields[2], &x) || !ParseDouble(fields[3], &y)) {
+    if (!ParseDouble(fields[2], &x) || !ParseDouble(fields[3], &y) ||
+        !std::isfinite(x) || !std::isfinite(y)) {
       result.error = "line " + std::to_string(line_number) +
-                     ": x/y must be numbers";
+                     ": x/y must be finite numbers";
       return result;
     }
-    if (time < 0) {
+    // kEndOfStreamTime closes the stream, so it is no valid record time.
+    if (time < 0 || time >= kEndOfStreamTime) {
       result.error = "line " + std::to_string(line_number) +
-                     ": discretised time must be non-negative";
+                     ": discretised time must be in [0, " +
+                     std::to_string(kEndOfStreamTime) + ")";
       return result;
     }
-    builder.Add(static_cast<TrajectoryId>(id),
-                static_cast<Timestamp>(time), Point{x, y});
+    rows.push_back(
+        Row{static_cast<Timestamp>(time), id, line_number, Point{x, y}});
   }
+  // The builder keeps the first report of an (id, time) and drops the
+  // rest; a later report at another location is an error, an exact
+  // repeat changes nothing.
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return std::tie(a.time, a.id, a.line) < std::tie(b.time, b.id, b.line);
+  });
+  for (std::size_t i = 1, first = 0; i < rows.size(); ++i) {
+    const Row& kept = rows[first];
+    if (rows[i].time != kept.time || rows[i].id != kept.id) {
+      first = i;
+    } else if (!(rows[i].location == kept.location)) {
+      result.error = "line " + std::to_string(rows[i].line) + ": id " +
+                     std::to_string(kept.id) + " at time " +
+                     std::to_string(kept.time) +
+                     " was already reported at another location on line " +
+                     std::to_string(kept.line);
+      return result;
+    }
+  }
+  DatasetBuilder builder(name);
+  for (const Row& row : rows) builder.Add(row.id, row.time, row.location);
   *dataset = builder.Finalize();
   result.ok = true;
   return result;

@@ -65,6 +65,52 @@ TEST(CsvLoader, RejectsNegativeTime) {
   EXPECT_FALSE(LoadCsvDataset(in, "test", &d).ok);
 }
 
+TEST(CsvLoader, RejectsTimeBeyondTimestampRange) {
+  // 4294967301 would narrow to 5 and alias a real time.
+  std::istringstream in("1,5,0.0,0.0\n2,4294967301,0.001,0.0\n");
+  Dataset d;
+  const CsvLoadResult r = LoadCsvDataset(in, "test", &d);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("line 2"), std::string::npos) << r.error;
+}
+
+TEST(CsvLoader, RejectsEndOfStreamTime) {
+  // INT32_MAX is the watermark that closes the stream; a record there
+  // would never be enumerated.
+  std::istringstream in("1,2147483646,0.0,0.0\n1,2147483647,0.0,0.0\n");
+  Dataset d;
+  const CsvLoadResult r = LoadCsvDataset(in, "test", &d);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("line 2"), std::string::npos) << r.error;
+}
+
+TEST(CsvLoader, RejectsNonFiniteCoordinates) {
+  for (const char* text : {"1,0,0.0,0.0\n2,0,nan,1.0\n",
+                           "1,0,0.0,0.0\n2,0,1.0,inf\n",
+                           "1,0,0.0,0.0\n2,0,-inf,1.0\n"}) {
+    std::istringstream in(text);
+    Dataset d;
+    const CsvLoadResult r = LoadCsvDataset(in, "test", &d);
+    EXPECT_FALSE(r.ok) << text;
+    EXPECT_NE(r.error.find("line 2"), std::string::npos) << r.error;
+  }
+}
+
+TEST(CsvLoader, RejectsConflictingDuplicateReport) {
+  std::istringstream in(
+      "1,5,0.0,0.0\n2,5,0.001,0.0\n3,5,1.0,1.0\n2,5,0.5,0.5\n");
+  Dataset d;
+  const CsvLoadResult r = LoadCsvDataset(in, "test", &d);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("line 4"), std::string::npos) << r.error;
+  EXPECT_NE(r.error.find("line 2"), std::string::npos) << r.error;
+
+  // An exact repeat of a report is harmless and loads as one record.
+  std::istringstream repeat("1,5,0.0,0.0\n1,5,0.0,0.0\n");
+  ASSERT_TRUE(LoadCsvDataset(repeat, "test", &d).ok);
+  EXPECT_EQ(d.records.size(), 1u);
+}
+
 TEST(CsvLoader, RejectsMidFileGarbage) {
   // A non-numeric line later in the file is an error, not a header.
   std::istringstream in("1,0,1.0,2.0\nid,time,x,y\n");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -110,6 +111,11 @@ struct SoakCase {
   std::int32_t min_eta;  ///< documents which BitString tier is exercised
   std::int32_t max_eta;
 };
+
+/// gtest puts the printed parameter into the test ID; print the label
+/// only, not the raw bytes holding the string's address, so the IDs are
+/// the same on every run.
+void PrintTo(const SoakCase& sc, std::ostream* os) { *os << sc.name; }
 
 class EnumeratorSoak : public ::testing::TestWithParam<SoakCase> {};
 

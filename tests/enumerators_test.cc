@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -103,6 +104,11 @@ struct NamedFactory {
   const char* name;
   EnumeratorFactory make;
 };
+
+/// gtest puts the printed parameter into the test ID; print the label
+/// only, not the addresses of the label and the factory, so the IDs are
+/// the same on every run.
+void PrintTo(const NamedFactory& f, std::ostream* os) { *os << f.name; }
 
 class AllEnumerators : public ::testing::TestWithParam<NamedFactory> {};
 

@@ -106,6 +106,11 @@ TEST_P(IcpeEngineMatrix, MatchesOfflineOracle) {
   options.parallelism = config.parallelism;
   const IcpeResult result = RunIcpe(dataset, options);
   EXPECT_EQ(ObjectSets(result.patterns), OfflineOracle(dataset, options));
+  // The merge of the per-subtask folds yields each object set once, in
+  // ascending order, whatever the parallelism.
+  for (std::size_t i = 1; i < result.patterns.size(); ++i) {
+    EXPECT_LT(result.patterns[i - 1].objects, result.patterns[i].objects);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -108,24 +108,6 @@ TEST(NetPipeline, SingleWorkerDegenerateDeployment) {
   EXPECT_EQ(distributed.patterns, single.patterns);
 }
 
-TEST(NetPipeline, MultiQueryResultsShipPerCollector) {
-  const Dataset dataset = ConvoyDataset();
-  IcpeOptions options = BaseOptions();
-  PatternQuery extra;
-  extra.constraints = PatternConstraints{3, 6, 3, 2};
-  extra.enumerator = EnumeratorKind::kVBA;
-  options.extra_queries.push_back(extra);
-  const IcpeResult single = RunIcpe(dataset, options);
-  const IcpeResult distributed =
-      RunIcpeDistributed(dataset, options, Deployment(2, "unix"));
-  EXPECT_EQ(distributed.patterns, single.patterns);
-  ASSERT_EQ(distributed.extra_patterns.size(),
-            single.extra_patterns.size());
-  for (std::size_t q = 0; q < single.extra_patterns.size(); ++q) {
-    EXPECT_EQ(distributed.extra_patterns[q], single.extra_patterns[q]);
-  }
-}
-
 TEST(NetPipeline, CheckpointsCompleteAcrossProcesses) {
   const Dataset dataset = ConvoyDataset();
   flow::MemorySnapshotStore store;

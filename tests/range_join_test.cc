@@ -186,16 +186,6 @@ INSTANTIATE_TEST_SUITE_P(
                       JoinSweep{10, 600, 0.1, 0.3, true},
                       JoinSweep{11, 400, 12.0, 12.0, false}));
 
-TEST(GridSync, DeduplicatesAndSorts) {
-  std::vector<std::vector<NeighborPair>> per_cell = {
-      {{3, 4}, {1, 2}},
-      {{1, 2}, {0, 5}},
-  };
-  const auto merged = GridSync(std::move(per_cell));
-  const std::vector<NeighborPair> expect = {{0, 5}, {1, 2}, {3, 4}};
-  EXPECT_EQ(merged, expect);
-}
-
 TEST(JoinScratch, ReusedScratchMatchesFreshJoinsAcrossSnapshots) {
   // One scratch shared across many different snapshots (the streaming
   // pattern) must produce exactly the result a fresh join does - cleared
