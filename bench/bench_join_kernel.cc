@@ -1,8 +1,7 @@
-// Per-cell join kernel microbenchmark: the flat plane-sweep kernel
-// (RangeJoinOptions::kernel = kSweep, the default) against the R-tree
-// kernel it replaces, on the isolated RangeJoinRJC hot path - no pipeline,
-// no DBSCAN, so the number measured is exactly the compute the kernel
-// swap changes.
+// Per-cell join kernel microbenchmark: the flat plane-sweep kernel with
+// SIMD auto-dispatch against its own scalar reference path, on the
+// isolated RangeJoinRJC hot path - no pipeline, no DBSCAN, so the number
+// measured is exactly the compute the SIMD refinement changes.
 //
 // Workload: one snapshot of uniform random points over a 16x16 grid of
 // cells (cell width 1.0), swept over
@@ -10,7 +9,7 @@
 //   eps_rel  - eps as a fraction of the cell width {0.125, 0.375, 0.75};
 //              0.375 matches the paper's Table 3 defaults
 //              (eps 0.6% / lg 1.6% of the extent).
-// Both kernels run with a reused JoinScratch (the engine's streaming
+// Both levels run with a reused JoinScratch (the engine's streaming
 // pattern) and emit identical pair sets, so pairs/s compares pure kernel
 // speed.
 //
@@ -42,7 +41,7 @@ struct Row {
   std::string kernel;
   double eps_rel = 0.0;
   int opc = 0;
-  std::int64_t pairs = 0;       ///< pairs per join (identical across kernels)
+  std::int64_t pairs = 0;       ///< pairs per join (identical across levels)
   double pairs_per_sec = 0.0;
 };
 
@@ -79,17 +78,14 @@ double TimeJoins(const Snapshot& snapshot, const cluster::RangeJoinOptions&
 }
 
 /// Best-of-`reps`, so one descheduled run cannot fake a regression in the
-/// smoke gate. `name` selects the configuration: "rtree", "sweep" (SIMD
-/// auto-dispatch, the engine default), or "sweep_scalar" (the sweep kernel
-/// pinned to the scalar reference path - the SIMD speedup is
-/// sweep / sweep_scalar).
+/// smoke gate. `name` selects the configuration: "sweep" (SIMD
+/// auto-dispatch, the engine default) or "sweep_scalar" (pinned to the
+/// scalar reference path - the SIMD speedup is sweep / sweep_scalar).
 Row Measure(const std::string& name, double eps_rel, int opc, double min_ms,
             int reps) {
   const Snapshot snapshot = UniformSnapshot(/*seed=*/7, opc);
   cluster::RangeJoinOptions options{.grid_cell_width = kCellWidth,
                                     .eps = eps_rel * kCellWidth};
-  options.kernel =
-      name == "rtree" ? cluster::JoinKernel::kRTree : cluster::JoinKernel::kSweep;
   if (name == "sweep_scalar") options.simd = SimdLevel::kScalar;
   Row row{name, eps_rel, opc, 0, 0.0};
   for (int r = 0; r < reps; ++r) {
@@ -135,7 +131,7 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   for (const double eps_rel : {0.125, 0.375, 0.75}) {
     for (const int opc : {16, 64, 256}) {
-      for (const char* kernel : {"rtree", "sweep", "sweep_scalar"}) {
+      for (const char* kernel : {"sweep", "sweep_scalar"}) {
         rows.push_back(Measure(kernel, eps_rel, opc, min_ms, reps));
       }
     }
@@ -148,19 +144,14 @@ int main(int argc, char** argv) {
                 row.eps_rel, row.opc, static_cast<long long>(row.pairs),
                 row.pairs_per_sec);
   }
-  // Headlines at the Table 3 default geometry: sweep over rtree (the
-  // kernel swap) and sweep over its own scalar path (the SIMD win).
-  double rtree = 0.0, sweep = 0.0, sweep_scalar = 0.0;
+  // Headline at the Table 3 default geometry: sweep over its own scalar
+  // path (the SIMD win).
+  double sweep = 0.0, sweep_scalar = 0.0;
   for (const Row& row : rows) {
     if (row.eps_rel == 0.375 && row.opc == 64) {
-      if (row.kernel == "rtree") rtree = row.pairs_per_sec;
       if (row.kernel == "sweep") sweep = row.pairs_per_sec;
       if (row.kernel == "sweep_scalar") sweep_scalar = row.pairs_per_sec;
     }
-  }
-  if (rtree > 0.0) {
-    std::printf("default row (eps_rel=0.375 opc=64): sweep/rtree = %.2fx\n",
-                sweep / rtree);
   }
   if (sweep_scalar > 0.0) {
     std::printf("default row (eps_rel=0.375 opc=64): sweep/scalar = %.2fx\n",

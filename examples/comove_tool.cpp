@@ -294,6 +294,15 @@ int RunDetect(int argc, char** argv) {
     std::fprintf(stderr, "--sample-interval must be non-negative\n");
     return 2;
   }
+  // atoi maps a non-numeric value to 0, so these also catch typos.
+  if (options.parallelism < 1) {
+    std::fprintf(stderr, "--parallelism must be a positive integer\n");
+    return 2;
+  }
+  if (options.cluster_options.dbscan.min_pts < 1) {
+    std::fprintf(stderr, "--minpts must be a positive integer\n");
+    return 2;
+  }
   // A time-series file needs a sampler; pick a sane default cadence.
   if (!timeseries_path.empty() && options.sample_interval_ms == 0) {
     options.sample_interval_ms = 100;
@@ -350,13 +359,12 @@ int RunDetect(int argc, char** argv) {
               static_cast<long long>(result.cluster_count),
               result.avg_cluster_size);
   if (options.collect_stats) {
-    const auto& cpu = GetCpuFeatures();
     const SimdLevel selected =
         cluster::ResolveSimdLevel(options.cluster_options.join.simd);
-    std::printf("simd: %s kernels (cpu avx2=%s%s) | arena %lld KiB, "
+    std::printf("simd: %s kernels (cpu avx2=%s) | arena %lld KiB, "
                 "%lld allocations\n",
-                SimdLevelName(selected), cpu.avx2 ? "yes" : "no",
-                cpu.force_scalar ? ", COMOVE_FORCE_SCALAR" : "",
+                SimdLevelName(selected),
+                GetCpuFeatures().avx2 ? "yes" : "no",
                 static_cast<long long>(result.arena_bytes / 1024),
                 static_cast<long long>(result.arena_allocations));
     std::printf("enumeration: %lld strings opened, %lld closed, peak %lld "

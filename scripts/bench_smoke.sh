@@ -5,11 +5,9 @@
 # (BENCH_flow_throughput.json / BENCH_join_kernel.json) - measured as the
 # geometric mean of the per-row current/baseline ratios, so one noisy row
 # on a loaded machine cannot flip the verdict while a real regression
-# (which drags every row) still does. Two headline floors on top:
+# (which drags every row) still does. Headline floors on top:
 #   - batching must pay for itself (batch 64 >= 1.5x batch 1 on the
 #     synthetic join_parallel_cells p=4 shuffle);
-#   - the sweep kernel must beat the R-tree kernel by >= 3.0x at the
-#     paper-default geometry (eps_rel=0.375, opc=64);
 #   - checkpointing at interval=100 must cost <= 5% end-to-end throughput
 #     vs checkpointing off, at both p=1 and p=4 (bench_checkpoint,
 #     compared WITHIN the current run, so the floor is machine-neutral);
@@ -18,9 +16,6 @@
 #     with tracing disabled within 1% of the frozen hook-free reference
 #     (off/ref >= 0.99), and with the recorder on within 5% of disabled
 #     (on/off >= 0.95);
-#   - the incremental delta path must pay on a mostly-parked fleet: delta
-#     mode >= 2x full recompute on bench_incremental's large low-mover
-#     config (within the current run, so the floor is machine-neutral);
 #   - the word-parallel enumeration hot loop must pay: fast >= 3x the
 #     naive replica for FBA on bench_enumerator's enumeration-bound
 #     m4/k18/l3/g3/opc32 config (within the current run).
@@ -37,7 +32,6 @@
 #   build-release/bench/bench_flow_throughput --out BENCH_flow_throughput.json
 #   build-release/bench/bench_join_kernel --out BENCH_join_kernel.json
 #   build-release/bench/bench_checkpoint --out BENCH_checkpoint.json
-#   build-release/bench/bench_incremental --out BENCH_incremental.json
 #   build-release/bench/bench_enumerator --out BENCH_enum.json
 #   build-release/bench/bench_fig14_scale_nodes --out BENCH_transport.json
 # before relying on the regression gate.
@@ -49,7 +43,7 @@ BUILD_DIR="${1:-build-release}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 
-BENCHES=(flow_throughput join_kernel checkpoint incremental enum transport)
+BENCHES=(flow_throughput join_kernel checkpoint enum transport)
 for bench in "${BENCHES[@]}"; do
   if [ ! -f "BENCH_$bench.json" ]; then
     echo "missing baseline BENCH_$bench.json" >&2
@@ -60,12 +54,11 @@ done
 cmake -B "$BUILD_DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target bench_flow_throughput bench_join_kernel bench_checkpoint \
-  bench_incremental bench_enumerator bench_fig14_scale_nodes
+  bench_enumerator bench_fig14_scale_nodes
 
 "$BUILD_DIR/bench/bench_flow_throughput" --out BENCH_flow_throughput.tmp.json
 "$BUILD_DIR/bench/bench_join_kernel" --out BENCH_join_kernel.tmp.json
 "$BUILD_DIR/bench/bench_checkpoint" --out BENCH_checkpoint.tmp.json
-"$BUILD_DIR/bench/bench_incremental" --out BENCH_incremental.tmp.json
 "$BUILD_DIR/bench/bench_enumerator" --out BENCH_enum.tmp.json
 "$BUILD_DIR/bench/bench_fig14_scale_nodes" --out BENCH_transport.tmp.json
 
@@ -174,15 +167,11 @@ compare flow_throughput records_per_sec "workload parallelism:p batch:b mode" . 
   "trace_overhead/p4/b64/on|trace_overhead/p4/b64/off|0.95|trace_overhead on/off" \
   || status=1
 compare join_kernel pairs_per_sec "kernel eps_rel:eps opc:opc" . \
-  "sweep/eps0.375/opc64|rtree/eps0.375/opc64|3.0|default row sweep/rtree" \
   || status=1
 # interval=100 may cost at most 5% against checkpointing off (i0).
 compare checkpoint snapshots_per_sec "parallelism:p interval:i" "" \
   "p1/i100|p1/i0|0.95|checkpoint p=1 interval=100 / off" \
   "p4/i100|p4/i0|0.95|checkpoint p=4 interval=100 / off" \
-  || status=1
-compare incremental snapshots_per_sec "objects:o movers:m mode" . \
-  "o3904/m78/delta|o3904/m78/full|2.0|incremental headline (o3904/m78) delta/full" \
   || status=1
 compare enum snapshots_per_sec "algo impl m:m k:k l:l g:g opc:opc" . \
   "fba/fast/m4/k18/l3/g3/opc32|fba/naive/m4/k18/l3/g3/opc32|3.0|enumerator headline (fba m4/k18/l3/g3/opc32) fast/naive" \

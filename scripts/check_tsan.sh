@@ -29,9 +29,7 @@ TESTS=(
   reorder_buffer_test
   icpe_engine_test
   icpe_replay_test
-  incremental_join_test
   simd_kernel_test
-  icpe_incremental_test
   soak_test
   barrier_alignment_test
   checkpoint_test

@@ -24,8 +24,7 @@ namespace comove::apps {
 /// ticks) and "worst_snapshots" (per-stage latency breakdown) arrays;
 /// 4 - enumeration-stage counters: run-level enum_strings_opened,
 /// enum_strings_closed, enum_candidates_peak, enum_apriori_nodes,
-/// enum_apriori_pruned (the delta_cells_* precedent applied to the
-/// pattern stage);
+/// enum_apriori_pruned;
 /// 5 - cross-process observability: per-stage bytes_pushed, bytes_popped
 /// and crc_rejects (nonzero on transport "link:*" rows), and distributed
 /// runs emit worker-labelled stage rows ("w<i>:assembler->cluster", ...)

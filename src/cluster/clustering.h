@@ -25,7 +25,7 @@ const char* ClusteringMethodName(ClusteringMethod method);
 
 /// Combined knobs for snapshot clustering.
 struct ClusteringOptions {
-  RangeJoinOptions join;    ///< lg, eps, kernel, R-tree tuning (GDC: eps)
+  RangeJoinOptions join;    ///< lg, eps, metric, SIMD level (GDC: eps)
   DbscanOptions dbscan;     ///< minPts
 };
 
@@ -36,9 +36,6 @@ struct ClusteringOptions {
 struct ClusterScratch {
   JoinScratch join;
   DbscanScratch dbscan;
-  /// Whole-snapshot DBSCAN memo, consulted only when
-  /// ClusteringOptions::join.incremental is set.
-  DbscanMemo dbscan_memo;
 };
 
 /// Clusters one snapshot with the chosen method. All methods produce

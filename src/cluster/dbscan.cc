@@ -148,43 +148,4 @@ ClusterSnapshot DbscanFromNeighbors(const Snapshot& snapshot,
   return out;
 }
 
-namespace {
-
-/// True when the memoised inputs match this snapshot exactly. The id
-/// comparison is order-sensitive because seed order (= entry order)
-/// decides which cluster claims a border point reachable from several.
-bool MemoMatches(const DbscanMemo& memo, const Snapshot& snapshot,
-                 const std::vector<NeighborPair>& pairs,
-                 const DbscanOptions& options) {
-  if (!memo.valid || memo.min_pts != options.min_pts) return false;
-  if (memo.ids.size() != snapshot.entries.size()) return false;
-  for (std::size_t i = 0; i < memo.ids.size(); ++i) {
-    if (memo.ids[i] != snapshot.entries[i].id) return false;
-  }
-  return memo.pairs == pairs;
-}
-
-}  // namespace
-
-ClusterSnapshot DbscanFromNeighborsCached(
-    const Snapshot& snapshot, const std::vector<NeighborPair>& pairs,
-    const DbscanOptions& options, DbscanScratch& scratch, DbscanMemo& memo) {
-  if (MemoMatches(memo, snapshot, pairs, options)) {
-    ++memo.replays;
-    ClusterSnapshot out;
-    out.time = snapshot.time;
-    out.clusters = memo.clusters;
-    return out;
-  }
-  ClusterSnapshot out = DbscanFromNeighbors(snapshot, pairs, options, scratch);
-  memo.valid = true;
-  memo.min_pts = options.min_pts;
-  memo.ids.clear();
-  memo.ids.reserve(snapshot.entries.size());
-  for (const SnapshotEntry& e : snapshot.entries) memo.ids.push_back(e.id);
-  memo.pairs = pairs;
-  memo.clusters = out.clusters;
-  return out;
-}
-
 }  // namespace comove::cluster

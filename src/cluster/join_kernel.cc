@@ -7,28 +7,13 @@
 
 namespace comove::cluster {
 
-const char* JoinKernelName(JoinKernel kernel) {
-  switch (kernel) {
-    case JoinKernel::kRTree:
-      return "rtree";
-    case JoinKernel::kSweep:
-      return "sweep";
-  }
-  return "unknown";
-}
-
 bool SimdKernelsAvailable() {
   return simd::Avx2CompiledIn() && GetCpuFeatures().avx2;
 }
 
 SimdLevel ResolveSimdLevel(SimdLevel requested) {
   if (requested == SimdLevel::kScalar) return SimdLevel::kScalar;
-  const bool avx2_ok = SimdKernelsAvailable();
-  if (requested == SimdLevel::kAvx2) {
-    return avx2_ok ? SimdLevel::kAvx2 : SimdLevel::kScalar;
-  }
-  if (GetCpuFeatures().force_scalar) return SimdLevel::kScalar;
-  return avx2_ok ? SimdLevel::kAvx2 : SimdLevel::kScalar;
+  return SimdKernelsAvailable() ? SimdLevel::kAvx2 : SimdLevel::kScalar;
 }
 
 #if !defined(COMOVE_HAVE_AVX2_KERNELS)
@@ -120,8 +105,8 @@ void ScalarSweep(const SweepCell& s, double eps, DistanceMetric metric,
   // the sweep analogue of Lemma 2's query-before-insert: every pair shows
   // up exactly once. The window bound (y >= o.y - eps) and the x band use
   // the arithmetic of Rect::RangeRegion/Contains, followed by the same
-  // WithinDistance refinement, so the candidate filter chain matches the
-  // R-tree path's.
+  // WithinDistance refinement, so the candidate filter chain matches a
+  // closed-rect R-tree probe's.
   std::size_t dlo = 0;
   for (std::size_t j = 1; j < nd; ++j) {
     const Point pj{dx[j], dy[j]};

@@ -11,16 +11,15 @@
 #include "common/types.h"
 
 /// \file
-/// Flat plane-sweep join kernel: the cache-friendly per-cell execution
-/// path of GridQuery (Algorithm 2). Instead of probing an R-tree once per
-/// object, the cell's objects are laid out in structure-of-arrays form
-/// (separate x[] / y[] / id[] columns, data and query roles split so the
-/// hot loops carry no role branch), sorted by y, and joined with
-/// a plane sweep: advance a window while y_j - y_i <= eps, refine
-/// candidates on the x band and the exact metric (WithinDistance). Every
-/// filter applies the same arithmetic as the R-tree path's closed-rect
-/// test followed by the same refinement predicate, so the emitted pair
-/// SET is identical and GridSync produces bit-identical output.
+/// Flat plane-sweep join kernel: the per-cell execution path of the
+/// GR-index range join (Algorithm 2). The paper probes a local R-tree
+/// once per object; here the cell's objects are laid out in
+/// structure-of-arrays form (separate x[] / y[] / id[] columns, data and
+/// query roles split so the hot loops carry no role branch), sorted by y,
+/// and joined with a plane sweep: advance a window while y_j - y_i <= eps,
+/// refine candidates on the x band and the exact metric (WithinDistance).
+/// The emitted pair SET equals the R-tree form's - closed-rect filter,
+/// then the same refinement predicate - and RangeJoinBrute pins it.
 ///
 /// Lemma semantics are reproduced exactly:
 ///  - Lemma 2 (query-before-insert): the data-data sweep pairs each data
@@ -43,24 +42,14 @@
 
 namespace comove::cluster {
 
-/// Selects the per-cell join kernel of GridQuery.
-enum class JoinKernel : std::uint8_t {
-  kRTree,  ///< per-object R-tree probes (the literal Algorithm 2)
-  kSweep,  ///< SoA sort + plane sweep (default; same output, faster)
-};
-
-/// Printable kernel name ("rtree" / "sweep").
-const char* JoinKernelName(JoinKernel kernel);
-
 /// True when the AVX2 kernels are usable here: compiled into the binary
-/// AND supported by this CPU (with OS YMM state). Says nothing about the
-/// COMOVE_FORCE_SCALAR override; see ResolveSimdLevel.
+/// AND supported by this CPU (with OS YMM state).
 bool SimdKernelsAvailable();
 
 /// Resolves a requested SimdLevel to the level that will actually run:
-/// kScalar stays scalar; kAvx2 degrades to scalar when unavailable (so
-/// test matrices run anywhere); kAuto picks AVX2 when available unless
-/// COMOVE_FORCE_SCALAR pins the reference path. Never returns kAuto.
+/// kScalar stays scalar; kAuto and kAvx2 pick AVX2 when available and
+/// degrade to scalar otherwise (so test matrices run anywhere). Never
+/// returns kAuto.
 SimdLevel ResolveSimdLevel(SimdLevel requested);
 
 /// Canonicalises an unordered neighbour pair to a < b.
@@ -91,10 +80,10 @@ struct SweepSortRec {
 /// Reusable SoA buffers of the sweep kernel, carved from one Arena so
 /// every column is 32-byte aligned for the AVX2 loads. One instance
 /// serves every cell of every snapshot; BeginSnapshot() (called once per
-/// snapshot by RunJoin / the cells-mode worker) rewinds the arena and the
-/// high-water marks re-reserve the full footprint in one bump each, so
-/// steady state touches the same addresses every snapshot and allocates
-/// nothing. Owned by one worker thread; not thread-safe.
+/// snapshot by RunJoin) rewinds the arena and the high-water marks
+/// re-reserve the full footprint in one bump each, so steady state
+/// touches the same addresses every snapshot and allocates nothing.
+/// Owned by one worker thread; not thread-safe.
 struct SweepCell {
   Arena arena;
   // Data objects of the cell, sorted by y.
@@ -127,8 +116,9 @@ struct SweepCell {
   }
 };
 
-/// Joins ONE grid cell's objects with the plane sweep, appending pairs to
-/// `out`. Drop-in replacement for the R-tree form of GridQuery: with
+/// The per-cell query step of the range join (Algorithm 2) for ONE grid
+/// cell: joins the cell's objects with the plane sweep, appending pairs to
+/// `out` (callers chain all cells of a snapshot into one vector). With
 /// `use_lemma2` emits every within-cell data pair exactly once plus each
 /// query object's Lemma 1 half-space matches; without it emits
 /// full-region matches from both sides (the SRJ scheme - GridSync

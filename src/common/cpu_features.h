@@ -2,7 +2,6 @@
 #define COMOVE_COMMON_CPU_FEATURES_H_
 
 #include <cstdint>
-#include <cstdlib>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
@@ -12,16 +11,15 @@
 /// \file
 /// Runtime CPU feature detection for the SIMD kernel dispatch. Detection
 /// runs once per process (cpuid is a serialising instruction; callers sit
-/// on hot paths) and folds in the COMOVE_FORCE_SCALAR environment
-/// override so CI can pin the reference path on any hardware.
+/// on hot paths). The scalar reference path is pinned per call with
+/// SimdLevel::kScalar, or for a whole build with -DCOMOVE_DISABLE_AVX2=ON.
 
 namespace comove {
 
 /// Which kernel implementation the join should use. kAuto resolves to the
-/// best level the CPU supports (honouring COMOVE_FORCE_SCALAR); the
-/// explicit levels ignore the env override so tests can exercise both
-/// paths in one process, but kAvx2 still degrades to scalar when the CPU
-/// or the build lacks AVX2.
+/// best level the CPU supports; kScalar pins the reference path so tests
+/// can exercise both in one process; kAvx2 degrades to scalar when the
+/// CPU or the build lacks AVX2.
 enum class SimdLevel : std::uint8_t {
   kAuto,
   kScalar,
@@ -43,17 +41,12 @@ inline const char* SimdLevelName(SimdLevel level) {
 struct CpuFeatures {
   /// CPU advertises AVX2 and the OS saves the YMM register state.
   bool avx2 = false;
-  /// COMOVE_FORCE_SCALAR was set (non-empty, not "0") at first query.
-  bool force_scalar = false;
 };
 
 namespace internal {
 
 inline CpuFeatures DetectCpuFeatures() {
   CpuFeatures features;
-  const char* force = std::getenv("COMOVE_FORCE_SCALAR");
-  features.force_scalar =
-      force != nullptr && force[0] != '\0' && !(force[0] == '0' && force[1] == '\0');
 #if defined(COMOVE_CPU_FEATURES_X86)
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   // AVX2 itself: leaf 7 subleaf 0, EBX bit 5.

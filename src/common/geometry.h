@@ -132,7 +132,7 @@ struct Rect {
     return Point{(min_x + max_x) / 2.0, (min_y + max_y) / 2.0};
   }
 
-  /// Area of the union MBR of this and `r` (used by R-tree node selection).
+  /// Area of the union MBR of this and `r`.
   double EnlargedArea(const Rect& r) const {
     Rect u = *this;
     u.ExpandToInclude(r);

@@ -60,7 +60,7 @@ enum CtrlTag : std::uint8_t {
 
 constexpr std::uint8_t kSnapshotEdge = 0;   ///< assembler -> cluster
 constexpr std::uint8_t kPartitionEdge = 1;  ///< cluster -> enumerate
-constexpr std::uint32_t kConfigVersion = 3;
+constexpr std::uint32_t kConfigVersion = 4;
 /// Budget for every blocking handshake step (connect, HELLO, CONFIG), on
 /// the coordinator and in the workers alike.
 constexpr std::int64_t kWorkerHandshakeTimeoutMs = 15000;
@@ -140,12 +140,7 @@ void EncodeConfig(BinaryWriter* w, const WorkerSetup& s) {
   w->WriteDouble(join.grid_cell_width);
   w->WriteDouble(join.eps);
   w->WriteU8(static_cast<std::uint8_t>(join.metric));
-  w->WriteU8(static_cast<std::uint8_t>(join.kernel));
   w->WriteU8(static_cast<std::uint8_t>(join.simd));
-  w->WriteBool(join.incremental);
-  w->WriteI32(join.rtree.max_entries);
-  w->WriteI32(join.rtree.min_entries);
-  w->WriteBool(join.rtree.enable_reinsert);
   w->WriteI32(s.options.cluster_options.dbscan.min_pts);
   w->WriteU8(static_cast<std::uint8_t>(s.options.enumerator));
   w->WriteI32(s.options.constraints.m);
@@ -194,16 +189,10 @@ bool DecodeConfig(BinaryReader* r, WorkerSetup* s) {
   join.grid_cell_width = r->ReadDouble();
   join.eps = r->ReadDouble();
   const std::uint8_t metric = r->ReadU8();
-  const std::uint8_t kernel = r->ReadU8();
   const std::uint8_t simd = r->ReadU8();
-  if (metric > 1 || kernel > 1 || simd > 2) return false;
+  if (metric > 1 || simd > 2) return false;
   join.metric = static_cast<DistanceMetric>(metric);
-  join.kernel = static_cast<cluster::JoinKernel>(kernel);
   join.simd = static_cast<SimdLevel>(simd);
-  join.incremental = r->ReadBool();
-  join.rtree.max_entries = r->ReadI32();
-  join.rtree.min_entries = r->ReadI32();
-  join.rtree.enable_reinsert = r->ReadBool();
   s->options.cluster_options.dbscan.min_pts = r->ReadI32();
   const std::uint8_t enumerator = r->ReadU8();
   if (enumerator > static_cast<std::uint8_t>(EnumeratorKind::kNone)) {
@@ -240,16 +229,14 @@ bool DecodeConfig(BinaryReader* r, WorkerSetup* s) {
          s->hi <= s->options.parallelism;
 }
 
-/// The 13 run counters in their fixed wire order (= declaration order).
-std::array<std::atomic<std::int64_t>*, 13> CounterFields(
+/// The 10 run counters in their fixed wire order (= declaration order).
+std::array<std::atomic<std::int64_t>*, 10> CounterFields(
     PipelineCounters* c) {
-  return {&c->cluster_count,       &c->cluster_member_sum,
-          &c->snapshot_count,      &c->delta_cells_seen,
-          &c->delta_cells_replayed, &c->delta_dbscan_replays,
-          &c->arena_bytes,         &c->arena_allocations,
-          &c->enum_strings_opened, &c->enum_strings_closed,
-          &c->enum_candidates_peak, &c->enum_apriori_nodes,
-          &c->enum_apriori_pruned};
+  return {&c->cluster_count,        &c->cluster_member_sum,
+          &c->snapshot_count,       &c->arena_bytes,
+          &c->arena_allocations,    &c->enum_strings_opened,
+          &c->enum_strings_closed,  &c->enum_candidates_peak,
+          &c->enum_apriori_nodes,   &c->enum_apriori_pruned};
 }
 
 void FoldTime(TimeAccumulator* acc, double total_ms, std::int64_t count) {
@@ -625,8 +612,12 @@ int NetWorkerMain(const std::string& coordinator_address,
   env.injector = &injector;
   env.crashed = &crashed;
   // An injected fault is a REAL process kill here: no destructors, no
-  // RESULT, sockets slam shut - exactly what recovery must survive.
-  env.crash_all = [] { std::_Exit(3); };
+  // RESULT, sockets slam shut - exactly what recovery must survive. Only
+  // the unix listen socket's path is removed first, as on every exit.
+  env.crash_all = [&listener] {
+    UnlinkIfUnix(listener.address);
+    std::_Exit(3);
+  };
   env.ack = [&](std::int64_t id, const char* op, std::int32_t subtask,
                 std::string state, flow::StageStats* stats) {
     if (stats != nullptr) {

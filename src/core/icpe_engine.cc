@@ -312,9 +312,6 @@ IcpeResult RunPipeline(const trajgen::Dataset& dataset,
           ? static_cast<double>(counters.cluster_member_sum.load()) /
                 static_cast<double>(result.cluster_count)
           : 0.0;
-  result.delta_cells_seen = counters.delta_cells_seen.load();
-  result.delta_cells_replayed = counters.delta_cells_replayed.load();
-  result.delta_dbscan_replays = counters.delta_dbscan_replays.load();
   result.arena_bytes = counters.arena_bytes.load();
   result.arena_allocations = counters.arena_allocations.load();
   result.enum_strings_opened = counters.enum_strings_opened.load();

@@ -146,16 +146,6 @@ struct IcpeResult {
   std::int64_t cluster_count = 0;  ///< clusters across all snapshots
   std::int64_t snapshot_count = 0;
 
-  /// Delta-path effectiveness, summed over every cluster worker;
-  /// all zero unless ClusteringOptions::join.incremental was set.
-  /// `delta_cells_seen` counts occupied (cell, snapshot) pairs,
-  /// `delta_cells_replayed` how many were served from the per-cell memo
-  /// instead of a re-sweep, `delta_dbscan_replays` how many snapshots
-  /// replayed the previous cluster set without running DBSCAN.
-  std::int64_t delta_cells_seen = 0;
-  std::int64_t delta_cells_replayed = 0;
-  std::int64_t delta_dbscan_replays = 0;
-
   /// Enumeration-stage counters, summed over every enumeration worker as
   /// the workers exit (all zero with EnumeratorKind::kNone).
   /// Opened/closed count per-(owner, trajectory) membership bit strings

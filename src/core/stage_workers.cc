@@ -325,23 +325,14 @@ void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
       }
     }
   }
-  counters.delta_cells_seen.fetch_add(
-      static_cast<std::int64_t>(scratch.join.delta.cells_seen),
-      std::memory_order_relaxed);
-  counters.delta_cells_replayed.fetch_add(
-      static_cast<std::int64_t>(scratch.join.delta.cells_replayed),
-      std::memory_order_relaxed);
-  counters.delta_dbscan_replays.fetch_add(
-      static_cast<std::int64_t>(scratch.dbscan_memo.replays),
-      std::memory_order_relaxed);
   counters.arena_bytes.fetch_add(
       static_cast<std::int64_t>(
-          scratch.join.cell.sweep.arena.block_bytes() +
+          scratch.join.sweep.arena.block_bytes() +
           scratch.dbscan.arena.block_bytes()),
       std::memory_order_relaxed);
   counters.arena_allocations.fetch_add(
       static_cast<std::int64_t>(
-          scratch.join.cell.sweep.arena.allocations() +
+          scratch.join.sweep.arena.allocations() +
           scratch.dbscan.arena.allocations()),
       std::memory_order_relaxed);
   if (enumerate) partition_sender.Close();

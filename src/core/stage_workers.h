@@ -65,9 +65,6 @@ struct PipelineCounters {
   std::atomic<std::int64_t> cluster_count{0};
   std::atomic<std::int64_t> cluster_member_sum{0};
   std::atomic<std::int64_t> snapshot_count{0};
-  std::atomic<std::int64_t> delta_cells_seen{0};
-  std::atomic<std::int64_t> delta_cells_replayed{0};
-  std::atomic<std::int64_t> delta_dbscan_replays{0};
   std::atomic<std::int64_t> arena_bytes{0};
   std::atomic<std::int64_t> arena_allocations{0};
   std::atomic<std::int64_t> enum_strings_opened{0};

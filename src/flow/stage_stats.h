@@ -649,7 +649,7 @@ inline void PrintStageStats(const std::vector<StageStatsSnapshot>& stages,
 }
 
 /// One line per stage with non-empty buckets, e.g.
-/// `grid_allocate->grid_query  1:12  32:5  64:118` - 12 transfers moved a
+/// `cluster->enumerate  1:12  32:5  64:118` - 12 transfers moved a
 /// single element, 118 moved 64..127. Complements the avg_batch column of
 /// PrintStageStats when the distribution matters.
 inline void PrintBatchHistogram(

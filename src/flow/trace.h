@@ -58,7 +58,7 @@ double NsPerTscTick();
 /// stored as pointers, never copied.
 struct TraceEvent {
   const char* stage = "";        ///< pipeline stage, e.g. "join"
-  const char* name = "";         ///< what happened, e.g. "cell_query"
+  const char* name = "";         ///< what happened, e.g. "neighbor_pairs"
   std::int32_t subtask = 0;      ///< parallel subtask index (lane)
   Timestamp snapshot_time = kNoTime;  ///< correlates one snapshot's spans
   std::int64_t aux = 0;          ///< extra id (checkpoint, batch size, ...)

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cmath>
+#include <random>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace comove::trajgen {
 namespace {
@@ -156,6 +163,64 @@ TEST(CsvLoader, WhitespaceAroundFieldsTolerated) {
   ASSERT_TRUE(LoadCsvDataset(in, "test", &d).ok);
   ASSERT_EQ(d.records.size(), 1u);
   EXPECT_EQ(d.records[0].location, (Point{1.5, 2.5}));
+}
+
+/// A valid multi-row CSV for the fuzz tests: header, comment, negative
+/// and exponent coordinates, several ids and times.
+const char* const kFuzzSeedCsv =
+    "id,time,x,y\n"
+    "# fleet export\n"
+    "1,0,1.5,2.5\n"
+    "2,0,-3.25,4.0\n"
+    "1,1,1.75,2.625\n"
+    "2,1,-3.5,4.125\n"
+    "3,2,10,1e2\n"
+    "12,3,0.5,-0.75\n";
+
+/// Loads `text` and checks the loader's contract on arbitrary input:
+/// either a line-numbered error, or a dataset whose records have finite
+/// coordinates, times in [0, INT32_MAX) and unique (id, time) keys.
+void ExpectLoadSaneOrRejected(const std::string& text) {
+  std::istringstream in(text);
+  Dataset d;
+  const CsvLoadResult r = LoadCsvDataset(in, "fuzz", &d);
+  if (!r.ok) {
+    ASSERT_EQ(r.error.rfind("line ", 0), 0u) << r.error << "\n" << text;
+    ASSERT_TRUE(r.error.size() > 5 &&
+                std::isdigit(static_cast<unsigned char>(r.error[5])))
+        << r.error << "\n" << text;
+    return;
+  }
+  std::vector<std::pair<Timestamp, TrajectoryId>> keys;
+  for (const GpsRecord& rec : d.records) {
+    ASSERT_TRUE(std::isfinite(rec.location.x) &&
+                std::isfinite(rec.location.y))
+        << text;
+    ASSERT_GE(rec.time, 0) << text;
+    ASSERT_LT(rec.time, kEndOfStreamTime) << text;
+    keys.emplace_back(rec.time, rec.id);
+  }
+  std::sort(keys.begin(), keys.end());
+  ASSERT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end())
+      << "duplicate (id, time) key\n" << text;
+}
+
+TEST(CsvLoaderFuzz, EveryStrictPrefixLoadsOrFailsCleanly) {
+  const std::string csv = kFuzzSeedCsv;
+  for (std::size_t cut = 0; cut < csv.size(); ++cut) {
+    ExpectLoadSaneOrRejected(csv.substr(0, cut));
+  }
+}
+
+TEST(CsvLoaderFuzz, SingleByteSubstitutionsLoadOrFailCleanly) {
+  const std::string csv = kFuzzSeedCsv;
+  const std::string alphabet = "0123456789-.,eni\n";
+  std::mt19937_64 rng(0xC5F0F022);
+  for (int i = 0; i < 4000; ++i) {
+    std::string mutated = csv;
+    mutated[rng() % mutated.size()] = alphabet[rng() % alphabet.size()];
+    ExpectLoadSaneOrRejected(mutated);
+  }
 }
 
 }  // namespace

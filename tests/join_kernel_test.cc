@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -40,21 +41,6 @@ Snapshot TieHeavySnapshot(Rng* rng, int n, double extent) {
   return s;
 }
 
-RangeJoinOptions WithKernel(const RangeJoinOptions& base, JoinKernel kernel) {
-  RangeJoinOptions options = base;
-  options.kernel = kernel;
-  return options;
-}
-
-TEST(JoinKernel, Names) {
-  EXPECT_STREQ(JoinKernelName(JoinKernel::kRTree), "rtree");
-  EXPECT_STREQ(JoinKernelName(JoinKernel::kSweep), "sweep");
-}
-
-TEST(JoinKernel, SweepIsTheDefault) {
-  EXPECT_EQ(RangeJoinOptions{}.kernel, JoinKernel::kSweep);
-}
-
 struct KernelSweepCase {
   std::uint64_t seed;
   int n;
@@ -62,36 +48,40 @@ struct KernelSweepCase {
   DistanceMetric metric;
 };
 
+/// Names each case by its fields (the default printer would dump the
+/// struct's padding bytes, which differ from build to build).
+void PrintTo(const KernelSweepCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_n" << c.n << "_eps" << c.eps_over_cell << "_"
+      << DistanceMetricName(c.metric);
+}
+
 class JoinKernelRandomized
     : public ::testing::TestWithParam<KernelSweepCase> {};
 
-/// The randomized property pinning the tentpole: on tie-heavy snapshots
-/// (coincident points, exact y/x ties) the sweep kernel, the R-tree
-/// kernel, and the O(n^2) brute force all produce the identical,
-/// duplicate-free pair list - under both metrics, every lemma ablation,
-/// and eps below/at/above the cell width.
-TEST_P(JoinKernelRandomized, SweepMatchesRTreeAndBruteForce) {
+/// The randomized property pinning the join: on tie-heavy snapshots
+/// (coincident points, exact y/x ties) the sweep kernel and the O(n^2)
+/// brute force produce the identical, duplicate-free pair list - under
+/// both metrics, every lemma ablation, both SIMD levels, and eps
+/// below/at/above the cell width.
+TEST_P(JoinKernelRandomized, SweepMatchesBruteForce) {
   const KernelSweepCase p = GetParam();
   Rng rng(p.seed);
   const Snapshot s = TieHeavySnapshot(&rng, p.n, /*extent=*/30.0);
-  RangeJoinOptions base{.grid_cell_width = 2.0,
-                        .eps = 2.0 * p.eps_over_cell};
-  base.metric = p.metric;
-  const auto brute = RangeJoinBrute(s, base.eps, p.metric);
+  RangeJoinOptions options{.grid_cell_width = 2.0,
+                           .eps = 2.0 * p.eps_over_cell};
+  options.metric = p.metric;
+  const auto brute = RangeJoinBrute(s, options.eps, p.metric);
   // Duplicate-free by construction of RangeJoinBrute (unique index pairs).
-  for (const RangeJoinVariant variant :
-       {RangeJoinVariant{true, true}, RangeJoinVariant{false, true},
-        RangeJoinVariant{true, false}, RangeJoinVariant{false, false}}) {
-    const auto sweep =
-        RangeJoinRJC(s, WithKernel(base, JoinKernel::kSweep), variant);
-    const auto rtree =
-        RangeJoinRJC(s, WithKernel(base, JoinKernel::kRTree), variant);
-    EXPECT_EQ(sweep, rtree) << "lemma1=" << variant.use_lemma1
-                            << " lemma2=" << variant.use_lemma2;
-    EXPECT_EQ(sweep, brute) << "lemma1=" << variant.use_lemma1
-                            << " lemma2=" << variant.use_lemma2;
-    EXPECT_EQ(std::adjacent_find(sweep.begin(), sweep.end()), sweep.end())
-        << "duplicate pair emitted";
+  for (const SimdLevel simd : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    options.simd = simd;
+    for (const RangeJoinVariant variant :
+         {RangeJoinVariant{true, true}, RangeJoinVariant{false, true},
+          RangeJoinVariant{true, false}, RangeJoinVariant{false, false}}) {
+      EXPECT_EQ(RangeJoinRJC(s, options, variant), brute)
+          << "lemma1=" << variant.use_lemma1
+          << " lemma2=" << variant.use_lemma2
+          << " simd=" << SimdLevelName(simd);
+    }
   }
 }
 
@@ -109,10 +99,10 @@ INSTANTIATE_TEST_SUITE_P(
         KernelSweepCase{108, 3, 1.0, DistanceMetric::kL2},
         KernelSweepCase{109, 60, 2.0, DistanceMetric::kL1}));
 
-TEST(JoinKernel, CoincidentPointsAndAxisTies) {
+TEST(SweepJoin, CoincidentPointsAndAxisTies) {
   // Hand-built Lemma 1 corners: coincident triple, same-y cross-cell
   // pair, same-x cross-cell pair - the sweep must claim each exactly
-  // once, like the R-tree path.
+  // once.
   Snapshot s;
   s.time = 0;
   s.entries = {{0, Point{1, 1}},    {1, Point{1, 1}},   {2, Point{1, 1}},
@@ -120,12 +110,10 @@ TEST(JoinKernel, CoincidentPointsAndAxisTies) {
                {5, Point{5, 2.9}},  {6, Point{5, 3.1}},  // x tie, y differs
                {7, Point{7, 7}},    {8, Point{7, 7}}};   // coincident pair
   RangeJoinOptions options{.grid_cell_width = 3.0, .eps = 0.5};
-  const auto brute = RangeJoinBrute(s, options.eps);
-  EXPECT_EQ(RangeJoinRJC(s, WithKernel(options, JoinKernel::kSweep)), brute);
-  EXPECT_EQ(RangeJoinRJC(s, WithKernel(options, JoinKernel::kRTree)), brute);
+  EXPECT_EQ(RangeJoinRJC(s, options), RangeJoinBrute(s, options.eps));
 }
 
-TEST(JoinKernel, SweepScratchReuseAcrossSnapshots) {
+TEST(SweepJoin, SweepScratchReuseAcrossSnapshots) {
   // One JoinScratch streamed over many snapshots with the sweep kernel
   // must match fresh joins every time (cleared SoA columns never leak).
   Rng rng(21);
@@ -139,26 +127,27 @@ TEST(JoinKernel, SweepScratchReuseAcrossSnapshots) {
   }
 }
 
-TEST(JoinKernel, ClusterSnapshotsBitIdenticalAcrossKernels) {
-  // The full per-snapshot path (join + CSR DBSCAN): identical
-  // ClusterSnapshots from both kernels, both metrics, RJC and SRJ.
+TEST(SweepJoin, ClusterSnapshotsMatchBruteForceJoin) {
+  // The full per-snapshot path (join + CSR DBSCAN): the same
+  // ClusterSnapshots as DBSCAN over the brute-force pairs, both metrics,
+  // RJC and SRJ.
   Rng rng(31);
   const Snapshot s = TieHeavySnapshot(&rng, 600, 40.0);
   for (const auto metric : {DistanceMetric::kL1, DistanceMetric::kL2}) {
+    const DbscanOptions dbscan{4};
+    const auto brute =
+        DbscanFromNeighbors(s, RangeJoinBrute(s, 1.5, metric), dbscan);
     for (const auto method :
          {ClusteringMethod::kRJC, ClusteringMethod::kSRJ}) {
       ClusteringOptions options;
       options.join = RangeJoinOptions{.grid_cell_width = 3.0, .eps = 1.5};
       options.join.metric = metric;
-      options.dbscan = DbscanOptions{4};
-      options.join.kernel = JoinKernel::kSweep;
+      options.dbscan = dbscan;
       const auto sweep = ClusterSnapshotWith(method, s, options);
-      options.join.kernel = JoinKernel::kRTree;
-      const auto rtree = ClusterSnapshotWith(method, s, options);
-      ASSERT_EQ(sweep.clusters.size(), rtree.clusters.size());
+      ASSERT_EQ(sweep.clusters.size(), brute.clusters.size());
       for (std::size_t i = 0; i < sweep.clusters.size(); ++i) {
-        EXPECT_EQ(sweep.clusters[i].members, rtree.clusters[i].members);
-        EXPECT_EQ(sweep.clusters[i].cluster_id, rtree.clusters[i].cluster_id);
+        EXPECT_EQ(sweep.clusters[i].members, brute.clusters[i].members);
+        EXPECT_EQ(sweep.clusters[i].cluster_id, brute.clusters[i].cluster_id);
       }
     }
   }
@@ -254,9 +243,9 @@ std::set<std::vector<TrajectoryId>> ObjectSets(
   return out;
 }
 
-TEST(JoinKernel, EnginePipelinesBitIdenticalAcrossKernels) {
-  // End-to-end acceptance: the sweep kernel is semantically invisible in
-  // RunIcpe across both metrics and batch sizes {1, 64}.
+TEST(SweepJoin, EnginePipelinesBitIdenticalAcrossSimdLevels) {
+  // End-to-end acceptance: the AVX2 refinement is semantically invisible
+  // in RunIcpe across both metrics and batch sizes {1, 64}.
   trajgen::BrinkhoffOptions gen;
   gen.object_count = 60;
   gen.duration = 35;
@@ -273,21 +262,21 @@ TEST(JoinKernel, EnginePipelinesBitIdenticalAcrossKernels) {
       options.constraints = PatternConstraints{3, 6, 2, 2};
       options.parallelism = 3;
       options.exchange_batch_size = batch;
-      options.cluster_options.join.kernel = JoinKernel::kRTree;
-      const core::IcpeResult rtree = RunIcpe(dataset, options);
-      options.cluster_options.join.kernel = JoinKernel::kSweep;
-      const core::IcpeResult sweep = RunIcpe(dataset, options);
+      options.cluster_options.join.simd = SimdLevel::kScalar;
+      const core::IcpeResult scalar = RunIcpe(dataset, options);
+      options.cluster_options.join.simd = SimdLevel::kAvx2;
+      const core::IcpeResult avx2 = RunIcpe(dataset, options);
       const auto label = [&] {
         return ::testing::Message()
                << "metric=" << DistanceMetricName(metric)
                << " batch=" << batch;
       };
-      EXPECT_EQ(ObjectSets(sweep.patterns), ObjectSets(rtree.patterns))
+      EXPECT_EQ(ObjectSets(avx2.patterns), ObjectSets(scalar.patterns))
           << label();
-      EXPECT_EQ(sweep.snapshot_count, rtree.snapshot_count) << label();
-      EXPECT_EQ(sweep.cluster_count, rtree.cluster_count) << label();
-      EXPECT_EQ(sweep.avg_cluster_size, rtree.avg_cluster_size) << label();
-      EXPECT_FALSE(sweep.patterns.empty()) << label();
+      EXPECT_EQ(avx2.snapshot_count, scalar.snapshot_count) << label();
+      EXPECT_EQ(avx2.cluster_count, scalar.cluster_count) << label();
+      EXPECT_EQ(avx2.avg_cluster_size, scalar.avg_cluster_size) << label();
+      EXPECT_FALSE(avx2.patterns.empty()) << label();
     }
   }
 }

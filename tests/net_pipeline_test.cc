@@ -1,7 +1,10 @@
 #include "core/distributed.h"
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <numbers>
 #include <string>
 #include <vector>
@@ -315,8 +318,24 @@ void KillAndRecover(const char* stage, const char* transport) {
   EXPECT_EQ(recovered.patterns, free_run.patterns);
 }
 
+/// Socket paths of this process's unix-transport runs still in /tmp. The
+/// coordinator is this process, so its pid names every path of its runs
+/// (see CoordinatorAddress), workers' listen paths included.
+std::vector<std::string> LeftoverSocketPaths() {
+  const std::string prefix =
+      "comove-net-" + std::to_string(::getpid()) + "-";
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator("/tmp")) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) left.push_back(entry.path().string());
+  }
+  return left;
+}
+
 TEST(NetPipeline, KillEnumerateWorkerAndRecoverUnix) {
   KillAndRecover("enumerate", "unix");
+  // The killed worker removes its listen socket before it exits.
+  EXPECT_EQ(LeftoverSocketPaths(), std::vector<std::string>{});
 }
 
 TEST(NetPipeline, KillClusterWorkerAndRecoverTcp) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 #include "common/rng.h"
 
@@ -189,7 +190,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(JoinScratch, ReusedScratchMatchesFreshJoinsAcrossSnapshots) {
   // One scratch shared across many different snapshots (the streaming
   // pattern) must produce exactly the result a fresh join does - cleared
-  // buckets, the recycled R-tree, and stale capacities must never leak
+  // buckets, the rewound sweep columns, and stale capacities must never leak
   // pairs between snapshots. SRJ exercises the dedup path too.
   Rng rng(11);
   JoinScratch rjc_scratch;
@@ -218,27 +219,23 @@ TEST(JoinScratch, ResultReferenceStaysValidUntilNextCall) {
   EXPECT_TRUE(RangeJoinRJC(b, options, {}, scratch).empty());
 }
 
-TEST(GridQuery, OutParamFormAppendsAcrossCells) {
-  // The out-param GridQuery appends so one vector can accumulate a whole
-  // snapshot; the same kernel scratch is reused per cell - under either
-  // kernel.
-  for (const JoinKernel kernel : {JoinKernel::kRTree, JoinKernel::kSweep}) {
-    RangeJoinOptions options{.grid_cell_width = 1.0, .eps = 0.4};
-    options.kernel = kernel;
-    const Snapshot s =
-        MakeSnapshot({{0.1, 0.1}, {0.2, 0.2}, {3.1, 3.1}, {3.3, 3.3}});
-    CellQueryScratch scratch;
-    std::vector<NeighborPair> out;
-    std::vector<GridObject> objects = GridAllocate(s, options, true);
-    std::unordered_map<GridKey, std::vector<GridObject>, GridKeyHash> cells;
-    for (GridObject& o : objects) cells[o.key].push_back(o);
-    for (auto& [key, cell_objects] : cells) {
-      GridQuery(cell_objects, options, true, scratch, out);
-    }
-    std::sort(out.begin(), out.end());
-    EXPECT_EQ(out, (std::vector<NeighborPair>{{0, 1}, {2, 3}}))
-        << JoinKernelName(kernel);
+TEST(SweepCellJoin, OutParamFormAppendsAcrossCells) {
+  // The per-cell join appends so one vector can accumulate a whole
+  // snapshot; the same kernel scratch is reused per cell.
+  RangeJoinOptions options{.grid_cell_width = 1.0, .eps = 0.4};
+  const Snapshot s =
+      MakeSnapshot({{0.1, 0.1}, {0.2, 0.2}, {3.1, 3.1}, {3.3, 3.3}});
+  SweepCell scratch;
+  std::vector<NeighborPair> out;
+  std::vector<GridObject> objects = GridAllocate(s, options, true);
+  std::unordered_map<GridKey, std::vector<GridObject>, GridKeyHash> cells;
+  for (GridObject& o : objects) cells[o.key].push_back(o);
+  for (auto& [key, cell_objects] : cells) {
+    SweepCellJoin(cell_objects, options.eps, options.metric,
+                  /*use_lemma2=*/true, options.simd, scratch, out);
   }
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, (std::vector<NeighborPair>{{0, 1}, {2, 3}}));
 }
 
 }  // namespace
