@@ -78,8 +78,8 @@ double TimeJoins(const Snapshot& snapshot, const cluster::RangeJoinOptions&
 }
 
 /// Best-of-`reps`, so one descheduled run cannot fake a regression in the
-/// smoke gate. `name` selects the configuration: "sweep" (SIMD
-/// auto-dispatch, the engine default) or "sweep_scalar" (pinned to the
+/// smoke gate. `name` selects the configuration: "sweep" (best available
+/// SIMD level, the engine default) or "sweep_scalar" (pinned to the
 /// scalar reference path - the SIMD speedup is sweep / sweep_scalar).
 Row Measure(const std::string& name, double eps_rel, int opc, double min_ms,
             int reps) {
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
 
   std::printf("simd: %s kernels (cpu avx2=%s)\n",
               comove::SimdLevelName(
-                  comove::cluster::ResolveSimdLevel(comove::SimdLevel::kAuto)),
+                  comove::cluster::ResolveSimdLevel(comove::SimdLevel::kAvx2)),
               comove::GetCpuFeatures().avx2 ? "yes" : "no");
 
   std::vector<Row> rows;

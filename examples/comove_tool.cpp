@@ -97,8 +97,8 @@ int Usage() {
 /// Canonical text form of a pattern multiset: one line per pattern,
 /// "id,id,...:t,t,...", sorted - so two runs agree bit-for-bit exactly
 /// when their pattern multisets do (the CI diff job relies on this).
-bool WritePatternsText(const std::vector<CoMovementPattern>& patterns,
-                       const std::string& path) {
+void WritePatternsText(const std::vector<CoMovementPattern>& patterns,
+                       std::ostream& out) {
   std::vector<std::string> lines;
   lines.reserve(patterns.size());
   for (const CoMovementPattern& p : patterns) {
@@ -115,10 +115,7 @@ bool WritePatternsText(const std::vector<CoMovementPattern>& patterns,
     lines.push_back(std::move(line));
   }
   std::sort(lines.begin(), lines.end());
-  std::ofstream out(path);
-  if (!out) return false;
   for (const std::string& line : lines) out << line << '\n';
-  return out.good();
 }
 
 int RunGenerate(int argc, char** argv) {
@@ -324,6 +321,24 @@ int RunDetect(int argc, char** argv) {
     std::fprintf(stderr, "--workers must be <= --parallelism\n");
     return 2;
   }
+  // Every output file opens before the run, so an unwritable path fails
+  // here instead of after minutes of detection. The trace file is written
+  // by the engine itself; opening it here only proves it can be.
+  const auto open_output = [](const std::string& path, std::ofstream& out) {
+    if (path.empty()) return true;
+    out.open(path);
+    if (out) return true;
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    return false;
+  };
+  std::ofstream timeseries_out, patterns_file, json_out, svg_out, trace_probe;
+  if (!open_output(options.trace_path, trace_probe) ||
+      !open_output(timeseries_path, timeseries_out) ||
+      !open_output(patterns_out, patterns_file) ||
+      !open_output(json_path, json_out) || !open_output(svg_path, svg_out)) {
+    return 1;
+  }
+  trace_probe.close();
   core::IcpeResult result =
       dist.workers > 0 ? RunIcpeDistributed(dataset, options, dist)
                        : RunIcpe(dataset, options);
@@ -399,39 +414,30 @@ int RunDetect(int argc, char** argv) {
                 result.time_series.size(),
                 static_cast<long long>(options.sample_interval_ms));
   }
-  if (!timeseries_path.empty()) {
-    std::ofstream out(timeseries_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", timeseries_path.c_str());
-      return 1;
-    }
-    flow::WriteTimeSeriesCsv(result.time_series, out);
+  if (timeseries_out.is_open()) {
+    flow::WriteTimeSeriesCsv(result.time_series, timeseries_out);
     std::printf("time series -> %s\n", timeseries_path.c_str());
   }
-  if (!patterns_out.empty()) {
-    if (!WritePatternsText(result.patterns, patterns_out)) {
-      std::fprintf(stderr, "cannot write %s\n", patterns_out.c_str());
-      return 1;
-    }
+  if (patterns_file.is_open()) {
+    WritePatternsText(result.patterns, patterns_file);
     std::printf("pattern multiset -> %s\n", patterns_out.c_str());
   }
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    apps::WriteResultJson(result, out);
+  if (json_out.is_open()) {
+    apps::WriteResultJson(result, json_out);
     std::printf("results -> %s\n", json_path.c_str());
   }
-  if (!svg_path.empty()) {
-    std::ofstream out(svg_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", svg_path.c_str());
+  if (svg_out.is_open()) {
+    apps::WriteSvg(dataset, result.patterns, svg_out);
+    std::printf("rendering -> %s\n", svg_path.c_str());
+  }
+  for (const auto& [out, path] :
+       {std::pair{&timeseries_out, &timeseries_path},
+        std::pair{&patterns_file, &patterns_out},
+        std::pair{&json_out, &json_path}, std::pair{&svg_out, &svg_path}}) {
+    if (out->is_open() && !out->flush()) {
+      std::fprintf(stderr, "error: cannot write %s\n", path->c_str());
       return 1;
     }
-    apps::WriteSvg(dataset, result.patterns, out);
-    std::printf("rendering -> %s\n", svg_path.c_str());
   }
   return 0;
 }

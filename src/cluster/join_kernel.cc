@@ -364,7 +364,7 @@ void SortUniquePairs(std::vector<NeighborPair>& pairs, TrajectoryId id_fold,
 
 void SortUniquePairs(std::vector<NeighborPair>& pairs) {
   PairSortScratch scratch;
-  SortUniquePairs(pairs, scratch, SimdLevel::kAuto);
+  SortUniquePairs(pairs, scratch, SimdLevel::kAvx2);
 }
 
 }  // namespace comove::cluster

@@ -47,9 +47,8 @@ namespace comove::cluster {
 bool SimdKernelsAvailable();
 
 /// Resolves a requested SimdLevel to the level that will actually run:
-/// kScalar stays scalar; kAuto and kAvx2 pick AVX2 when available and
-/// degrade to scalar otherwise (so test matrices run anywhere). Never
-/// returns kAuto.
+/// kScalar stays scalar; kAvx2 picks AVX2 when available and degrades to
+/// scalar otherwise (so test matrices run anywhere).
 SimdLevel ResolveSimdLevel(SimdLevel requested);
 
 /// Canonicalises an unordered neighbour pair to a < b.
@@ -157,7 +156,7 @@ struct PairSortScratch {
 /// resulting order is identical either way.
 void SortUniquePairs(std::vector<NeighborPair>& pairs,
                      PairSortScratch& scratch,
-                     SimdLevel simd = SimdLevel::kAuto);
+                     SimdLevel simd = SimdLevel::kAvx2);
 
 /// SortUniquePairs for callers that already hold an OR-fold of every id
 /// that can appear in `pairs` (RunJoin folds the snapshot's ids while

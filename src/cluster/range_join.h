@@ -39,9 +39,10 @@ struct RangeJoinOptions {
   double eps = 0.1;              ///< distance threshold
   DistanceMetric metric = DistanceMetric::kL1;  ///< refinement metric
   /// SIMD dispatch of the sweep kernel and the radix sort (see
-  /// ResolveSimdLevel). Pure performance knob - every level emits the
-  /// identical pair set - so it is excluded from checkpoint fingerprints.
-  SimdLevel simd = SimdLevel::kAuto;
+  /// ResolveSimdLevel): the best available level by default, or pinned
+  /// scalar. Pure performance knob - every level emits the identical pair
+  /// set - so it is excluded from checkpoint fingerprints.
+  SimdLevel simd = SimdLevel::kAvx2;
 };
 
 /// Ablation switches; production RJC uses both lemmas.

@@ -16,20 +16,17 @@
 
 namespace comove {
 
-/// Which kernel implementation the join should use. kAuto resolves to the
-/// best level the CPU supports; kScalar pins the reference path so tests
-/// can exercise both in one process; kAvx2 degrades to scalar when the
-/// CPU or the build lacks AVX2.
+/// Which kernel implementation the join should use. kScalar pins the
+/// reference path so tests can exercise both in one process; kAvx2 asks
+/// for the best available level - AVX2 when it is compiled in and the CPU
+/// supports it, scalar otherwise.
 enum class SimdLevel : std::uint8_t {
-  kAuto,
   kScalar,
   kAvx2,
 };
 
 inline const char* SimdLevelName(SimdLevel level) {
   switch (level) {
-    case SimdLevel::kAuto:
-      return "auto";
     case SimdLevel::kScalar:
       return "scalar";
     case SimdLevel::kAvx2:

@@ -126,27 +126,9 @@ struct Rect {
   double Width() const { return IsEmpty() ? 0.0 : max_x - min_x; }
   double Height() const { return IsEmpty() ? 0.0 : max_y - min_y; }
   double Area() const { return Width() * Height(); }
-  double Perimeter() const { return 2.0 * (Width() + Height()); }
 
   Point Center() const {
     return Point{(min_x + max_x) / 2.0, (min_y + max_y) / 2.0};
-  }
-
-  /// Area of the union MBR of this and `r`.
-  double EnlargedArea(const Rect& r) const {
-    Rect u = *this;
-    u.ExpandToInclude(r);
-    return u.Area();
-  }
-
-  /// Area of overlap with `r` (0 when disjoint).
-  double OverlapArea(const Rect& r) const {
-    const double w =
-        std::min(max_x, r.max_x) - std::max(min_x, r.min_x);
-    const double h =
-        std::min(max_y, r.max_y) - std::max(min_y, r.min_y);
-    if (w <= 0.0 || h <= 0.0) return 0.0;
-    return w * h;
   }
 
   friend bool operator==(const Rect& a, const Rect& b) {

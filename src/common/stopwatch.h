@@ -26,6 +26,11 @@ class Stopwatch {
                Clock::now() - start_)
         .count();
   }
+  std::int64_t ElapsedNanos() const {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               Clock::now() - start_)
+        .count();
+  }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -51,7 +51,7 @@ enum CtrlTag : std::uint8_t {
   kTagConfig = 17,     ///< coord -> worker: the full WorkerSetup blob
   kTagAck = 18,        ///< worker -> coord: checkpoint state ack
   kTagProgress = 19,   ///< worker -> coord: subtask finalized through t
-  kTagResult = 20,     ///< worker -> coord: final counters + times
+  kTagResult = 20,     ///< worker -> coord: final run counters
   kTagPeerHello = 21,  ///< worker -> worker: u32 index (mesh handshake)
   kTagStats = 22,      ///< worker -> coord: stage-stats snapshots
   kTagTrace = 23,      ///< worker -> coord: trace events + clock anchors
@@ -60,7 +60,7 @@ enum CtrlTag : std::uint8_t {
 
 constexpr std::uint8_t kSnapshotEdge = 0;   ///< assembler -> cluster
 constexpr std::uint8_t kPartitionEdge = 1;  ///< cluster -> enumerate
-constexpr std::uint32_t kConfigVersion = 4;
+constexpr std::uint32_t kConfigVersion = 5;
 /// Budget for every blocking handshake step (connect, HELLO, CONFIG), on
 /// the coordinator and in the workers alike.
 constexpr std::int64_t kWorkerHandshakeTimeoutMs = 15000;
@@ -190,7 +190,7 @@ bool DecodeConfig(BinaryReader* r, WorkerSetup* s) {
   join.eps = r->ReadDouble();
   const std::uint8_t metric = r->ReadU8();
   const std::uint8_t simd = r->ReadU8();
-  if (metric > 1 || simd > 2) return false;
+  if (metric > 1 || simd > 1) return false;
   join.metric = static_cast<DistanceMetric>(metric);
   join.simd = static_cast<SimdLevel>(simd);
   s->options.cluster_options.dbscan.min_pts = r->ReadI32();
@@ -229,49 +229,32 @@ bool DecodeConfig(BinaryReader* r, WorkerSetup* s) {
          s->hi <= s->options.parallelism;
 }
 
-/// The 10 run counters in their fixed wire order (= declaration order).
-std::array<std::atomic<std::int64_t>*, 10> CounterFields(
+/// The 13 run counters in their fixed wire order (= declaration order).
+std::array<std::atomic<std::int64_t>*, 13> CounterFields(
     PipelineCounters* c) {
-  return {&c->cluster_count,        &c->cluster_member_sum,
-          &c->snapshot_count,       &c->arena_bytes,
-          &c->arena_allocations,    &c->enum_strings_opened,
-          &c->enum_strings_closed,  &c->enum_candidates_peak,
-          &c->enum_apriori_nodes,   &c->enum_apriori_pruned};
+  return {&c->cluster_count,       &c->cluster_member_sum,
+          &c->cluster_ns,          &c->cluster_calls,
+          &c->enum_ns,             &c->enum_calls,
+          &c->arena_bytes,         &c->arena_allocations,
+          &c->enum_strings_opened, &c->enum_strings_closed,
+          &c->enum_candidates_peak, &c->enum_apriori_nodes,
+          &c->enum_apriori_pruned};
 }
 
-void FoldTime(TimeAccumulator* acc, double total_ms, std::int64_t count) {
-  std::lock_guard<std::mutex> lock(acc->mu);
-  acc->total_ms += total_ms;
-  acc->count += count;
-}
-
-void EncodeResult(BinaryWriter* w, PipelineCounters* counters,
-                  const TimeAccumulator& cluster_time,
-                  const TimeAccumulator& enum_time) {
+void EncodeResult(BinaryWriter* w, PipelineCounters* counters) {
   w->WriteU8(kTagResult);
   for (std::atomic<std::int64_t>* field : CounterFields(counters)) {
     w->WriteI64(field->load(std::memory_order_relaxed));
   }
-  w->WriteDouble(cluster_time.total_ms);
-  w->WriteI64(cluster_time.count);
-  w->WriteDouble(enum_time.total_ms);
-  w->WriteI64(enum_time.count);
 }
 
 /// Folds one worker's RESULT body (reader past the tag) into the
-/// coordinator's run state. Thread-safe against concurrent results.
+/// coordinator's run counters. Thread-safe against concurrent results.
 bool FoldResult(BinaryReader* r, StageResults* results) {
   for (std::atomic<std::int64_t>* field : CounterFields(&results->counters)) {
     field->fetch_add(r->ReadI64(), std::memory_order_relaxed);
   }
-  const double cluster_ms = r->ReadDouble();
-  const std::int64_t cluster_count = r->ReadI64();
-  const double enum_ms = r->ReadDouble();
-  const std::int64_t enum_count = r->ReadI64();
-  if (!r->ok() || !r->AtEnd()) return false;
-  FoldTime(&results->cluster_time, cluster_ms, cluster_count);
-  FoldTime(&results->enum_time, enum_ms, enum_count);
-  return true;
+  return r->ok() && r->AtEnd();
 }
 
 /// Ships the pattern folds of subtasks [lo, hi) as PATTERNS frames, each
@@ -695,8 +678,7 @@ int NetWorkerMain(const std::string& coordinator_address,
   {
     std::string payload;
     BinaryWriter writer(&payload);
-    EncodeResult(&writer, &results.counters, results.cluster_time,
-                 results.enum_time);
+    EncodeResult(&writer, &results.counters);
     coord.SendFrame(payload);
   }
   // Half-close everything, then join readers: the coordinator closes our

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "core/completion_tracker.h"
 #include "core/distributed.h"
 #include "core/stage_workers.h"
 #include "core/worker_fleet.h"
@@ -158,11 +157,7 @@ IcpeResult RunPipeline(const trajgen::Dataset& dataset,
   FaultInjector injector(options.fault);
   std::atomic<bool> crashed{false};
 
-  flow::SnapshotMetrics metrics;
-  // Tracing ranks the worst snapshots by measured latency, which needs
-  // the individual values, not just the histogram.
-  if (tr != nullptr) metrics.KeepPerSnapshot(true);
-  CompletionTracker tracker(p);
+  flow::SnapshotLedger ledger(p);
   StageResults results(p);
 
   // --- The subtask environment of this process. Acks go straight into
@@ -193,9 +188,7 @@ IcpeResult RunPipeline(const trajgen::Dataset& dataset,
     return restored ? restored->Find(op, subtask) : nullptr;
   };
   env.progress = [&](std::int32_t worker, Timestamp through) {
-    for (const Timestamp done : tracker.Update(worker, through)) {
-      metrics.MarkComplete(done);
-    }
+    ledger.Update(worker, through);
   };
   env.checkpointing = checkpointing;
   env.restored_id = restored_id;
@@ -240,8 +233,7 @@ IcpeResult RunPipeline(const trajgen::Dataset& dataset,
     // Assembler: §4 last-time synchronisation into snapshots.
     tasks.Spawn([&] {
       RunAssemblerSubtask(env, source_exchange.channel(0), snapshots,
-                          &metrics, &tracker, &results.counters,
-                          stats_for("source->assembler"));
+                          ledger, stats_for("source->assembler"));
     });
     if (!remote) {
       SpawnStageSubtasks(tasks, 0, p, env, results, *snapshot_exchange,
@@ -255,7 +247,7 @@ IcpeResult RunPipeline(const trajgen::Dataset& dataset,
   if (sampler) sampler->Stop();
   const bool was_crashed = crashed.load();
   if (!was_crashed) {
-    COMOVE_CHECK_MSG(tracker.pending() == 0,
+    COMOVE_CHECK_MSG(ledger.in_flight() == 0,
                      "pipeline drained with incomplete snapshots");
     if (fleet) fleet->CheckObservabilityShipped();
   }
@@ -272,7 +264,7 @@ IcpeResult RunPipeline(const trajgen::Dataset& dataset,
     result.checkpoints_failed = coordinator->failed_count();
   }
   result.patterns = MergeFolds(results.folds);
-  result.snapshots = metrics.Collect();
+  result.snapshots = ledger.Collect();
   if (collect_stats) result.stage_stats = stats_registry.Snapshot();
   if (sampler) result.time_series = sampler->samples();
   if (tr != nullptr) {
@@ -292,7 +284,7 @@ IcpeResult RunPipeline(const trajgen::Dataset& dataset,
       result.trace_dropped += proc.dropped;
     }
     result.worst_snapshots = flow::BuildWorstSnapshotBreakdown(
-        merged, metrics.PerSnapshot(), kWorstSnapshots);
+        merged, ledger.Latencies(), kWorstSnapshots);
     std::ofstream out(options.trace_path);
     COMOVE_CHECK_MSG(out.good(), "cannot open trace_path %s",
                      options.trace_path.c_str());
@@ -303,10 +295,18 @@ IcpeResult RunPipeline(const trajgen::Dataset& dataset,
     }
   }
   const PipelineCounters& counters = results.counters;
-  result.avg_cluster_ms = results.cluster_time.Average();
-  result.avg_enum_ms = results.enum_time.Average();
+  const auto average_ms = [](const std::atomic<std::int64_t>& ns,
+                             const std::atomic<std::int64_t>& calls) {
+    const std::int64_t n = calls.load();
+    return n > 0 ? static_cast<double>(ns.load()) / 1e6 /
+                       static_cast<double>(n)
+                 : 0.0;
+  };
+  result.avg_cluster_ms = average_ms(counters.cluster_ns,
+                                     counters.cluster_calls);
+  result.avg_enum_ms = average_ms(counters.enum_ns, counters.enum_calls);
   result.cluster_count = counters.cluster_count.load();
-  result.snapshot_count = counters.snapshot_count.load();
+  result.snapshot_count = ledger.ingested();
   result.avg_cluster_size =
       result.cluster_count > 0
           ? static_cast<double>(counters.cluster_member_sum.load()) /

@@ -118,9 +118,9 @@ struct IcpeOptions {
 
   /// When non-empty, the run records per-stage spans (see flow/trace.h)
   /// and writes them as Chrome trace_event JSON to this path - loadable
-  /// in chrome://tracing or Perfetto. Tracing also retains per-snapshot
-  /// latencies to build IcpeResult::worst_snapshots. Empty = tracing
-  /// fully off (the hot paths pay one untaken branch).
+  /// in chrome://tracing or Perfetto, and fills
+  /// IcpeResult::worst_snapshots. Empty = tracing fully off (the hot
+  /// paths pay one untaken branch).
   std::string trace_path;
 
   /// When > 0, a MetricsSampler thread snapshots every stage's counters
@@ -141,10 +141,11 @@ struct IcpeResult {
   /// report.
   std::vector<flow::StageStatsSnapshot> stage_stats;
   double avg_cluster_ms = 0.0;     ///< mean per-snapshot clustering compute
-  double avg_enum_ms = 0.0;        ///< mean per-tick enumeration compute
+  /// Mean enumeration compute per enumerator OnPartitions/AdvanceTime call.
+  double avg_enum_ms = 0.0;
   double avg_cluster_size = 0.0;   ///< mean members per emitted cluster
   std::int64_t cluster_count = 0;  ///< clusters across all snapshots
-  std::int64_t snapshot_count = 0;
+  std::int64_t snapshot_count = 0;  ///< snapshots the assembler ingested
 
   /// Enumeration-stage counters, summed over every enumeration worker as
   /// the workers exit (all zero with EnumeratorKind::kNone).

@@ -206,9 +206,7 @@ void RunSourceSubtask(const trajgen::Dataset& dataset, const StageEnv& env,
 void RunAssemblerSubtask(const StageEnv& env,
                          flow::Channel<flow::Element<GpsRecord>>& input,
                          flow::Transport<Snapshot>& out,
-                         flow::SnapshotMetrics* metrics,
-                         CompletionTracker* tracker,
-                         PipelineCounters* counters,
+                         flow::SnapshotLedger& ledger,
                          flow::StageStats* assembler_stats) {
   flow::TraceRecorder* const tr = env.tr;
   const std::int32_t p = out.consumers();
@@ -224,9 +222,7 @@ void RunAssemblerSubtask(const StageEnv& env,
       // The span covers ingest-mark to watermark broadcast - i.e. it
       // absorbs downstream backpressure on the snapshot exchange.
       const std::uint64_t t0 = tr != nullptr ? tr->NowNs() : 0;
-      metrics->MarkIngest(t);
-      tracker->Register(t);
-      counters->snapshot_count.fetch_add(1, std::memory_order_relaxed);
+      ledger.Ingest(t);
       out.Send(0, static_cast<std::size_t>(t) % static_cast<std::size_t>(p),
                std::move(snapshot));
       out.BroadcastWatermark(0, t);
@@ -274,6 +270,8 @@ void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
       out, worker, options.exchange_batch_size, tr, "partitions");
   // Join + DBSCAN working memory, reused across this worker's snapshots.
   cluster::ClusterScratch scratch;
+  std::int64_t cluster_ns = 0;
+  std::int64_t cluster_calls = 0;
   while (auto element = input.Pop()) {
     if (element->is_data()) {
       const Timestamp t = element->data.time;
@@ -283,7 +281,8 @@ void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
       const ClusterSnapshot clustered = cluster::ClusterSnapshotWith(
           options.clustering, element->data, options.cluster_options,
           scratch, tr != nullptr ? &phases : nullptr);
-      results.cluster_time.Add(watch.ElapsedMillis());
+      cluster_ns += watch.ElapsedNanos();
+      ++cluster_calls;
       if (tr != nullptr) {
         // The two phases tile the clustering call: join first, then
         // DBSCAN back-dated to start where the join ended.
@@ -325,6 +324,8 @@ void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
       }
     }
   }
+  counters.cluster_ns.fetch_add(cluster_ns, std::memory_order_relaxed);
+  counters.cluster_calls.fetch_add(cluster_calls, std::memory_order_relaxed);
   counters.arena_bytes.fetch_add(
       static_cast<std::int64_t>(
           scratch.join.sweep.arena.block_bytes() +
@@ -389,6 +390,8 @@ void RunEnumerateSubtask(
                      "corrupt enumerate checkpoint");
   }
 
+  std::int64_t enum_ns = 0;
+  std::int64_t enum_calls = 0;
   auto feed =
       [&](std::vector<std::pair<Timestamp, pattern::Partition>> batch) {
         std::size_t i = 0;
@@ -402,7 +405,8 @@ void RunEnumerateSubtask(
           Stopwatch watch;
           const std::uint64_t t0 = tr != nullptr ? tr->NowNs() : 0;
           enumerator->OnPartitions(t, std::move(parts));
-          results.enum_time.Add(watch.ElapsedMillis());
+          enum_ns += watch.ElapsedNanos();
+          ++enum_calls;
           if (tr != nullptr) {
             tr->RecordSpanSince("enumerate", "tick", worker, t, t0);
           }
@@ -419,7 +423,8 @@ void RunEnumerateSubtask(
       if (w != kEndOfStreamTime) {
         Stopwatch watch;
         enumerator->AdvanceTime(w);
-        results.enum_time.Add(watch.ElapsedMillis());
+        enum_ns += watch.ElapsedNanos();
+        ++enum_calls;
       }
       // A snapshot counts as answered once its pattern decisions
       // are final (for VBA this is deferred until strings close - the
@@ -472,6 +477,8 @@ void RunEnumerateSubtask(
   feed(buffer.DrainAll());
   enumerator->Finish();
   const pattern::EnumerationStats es = enumerator->enumeration_stats();
+  counters.enum_ns.fetch_add(enum_ns, std::memory_order_relaxed);
+  counters.enum_calls.fetch_add(enum_calls, std::memory_order_relaxed);
   counters.enum_strings_opened.fetch_add(es.strings_opened,
                                          std::memory_order_relaxed);
   counters.enum_strings_closed.fetch_add(es.strings_closed,

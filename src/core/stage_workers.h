@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "core/completion_tracker.h"
 #include "core/icpe_engine.h"
 #include "flow/channel.h"
 #include "flow/element.h"
@@ -28,7 +27,7 @@
 /// replays the dataset, for the source), produces onto a Transport, and
 /// returns when the stream finishes or the pipeline crashes. Everything
 /// deployment-specific - where acks go, how completion progress reaches
-/// the tracker - enters through StageEnv as callbacks.
+/// the ledger - enters through StageEnv as callbacks.
 
 namespace comove::core {
 
@@ -41,30 +40,18 @@ inline std::size_t OwnerPartition(TrajectoryId owner, std::int32_t p) {
          static_cast<std::uint32_t>(p);
 }
 
-/// Thread-safe accumulation of per-snapshot stage compute times.
-struct TimeAccumulator {
-  mutable std::mutex mu;
-  double total_ms = 0.0;
-  std::int64_t count = 0;
-
-  void Add(double ms) {
-    std::lock_guard<std::mutex> lock(mu);
-    total_ms += ms;
-    ++count;
-  }
-  double Average() const {
-    std::lock_guard<std::mutex> lock(mu);
-    return count > 0 ? total_ms / static_cast<double>(count) : 0.0;
-  }
-};
-
-/// The cross-subtask result counters of a run, folded in by each worker
+/// The cross-subtask result counters of a run, folded in by each subtask
 /// as it exits. One struct instead of a dozen loose atomics so a remote
-/// deployment can ship the whole block back to the coordinator.
+/// deployment can ship the whole block back to the coordinator. The
+/// compute times are summed nanoseconds over `*_calls` calls: clustered
+/// snapshots, and enumerator OnPartitions/AdvanceTime calls.
 struct PipelineCounters {
   std::atomic<std::int64_t> cluster_count{0};
   std::atomic<std::int64_t> cluster_member_sum{0};
-  std::atomic<std::int64_t> snapshot_count{0};
+  std::atomic<std::int64_t> cluster_ns{0};
+  std::atomic<std::int64_t> cluster_calls{0};
+  std::atomic<std::int64_t> enum_ns{0};
+  std::atomic<std::int64_t> enum_calls{0};
   std::atomic<std::int64_t> arena_bytes{0};
   std::atomic<std::int64_t> arena_allocations{0};
   std::atomic<std::int64_t> enum_strings_opened{0};
@@ -75,8 +62,8 @@ struct PipelineCounters {
 };
 
 /// Everything the cluster and enumerate subtasks of one process fold
-/// their results into as they exit: run counters, compute times, and one
-/// pattern fold per enumerate subtask. The coordinator owns the run's
+/// their results into as they exit: run counters and one pattern fold
+/// per enumerate subtask. The coordinator owns the run's
 /// instance; a worker process owns one for its subtask range and ships
 /// it back.
 struct StageResults {
@@ -84,8 +71,6 @@ struct StageResults {
       : folds(static_cast<std::size_t>(subtasks)) {}
 
   PipelineCounters counters;
-  TimeAccumulator cluster_time;
-  TimeAccumulator enum_time;
   /// Serialises the on_pattern callback across enumerate subtasks.
   std::mutex on_pattern_mu;
   /// Indexed by enumerate subtask. Each slot is written by exactly one
@@ -113,8 +98,8 @@ using RestoredStateFn =
     std::function<const std::string*(const char*, std::int32_t)>;
 
 /// Reports that subtask `worker` finalized every snapshot time <=
-/// `through` (feeds the completion tracker / latency metrics, which live
-/// on the coordinator). Enumerate subtasks report it; cluster subtasks
+/// `through` (feeds the snapshot ledger, which lives on the
+/// coordinator). Enumerate subtasks report it; cluster subtasks
 /// do when the run has no enumeration stage.
 using ProgressFn = std::function<void(std::int32_t, Timestamp)>;
 
@@ -145,14 +130,12 @@ void RunSourceSubtask(const trajgen::Dataset& dataset, const StageEnv& env,
 
 /// Assembler subtask: §4 last-time synchronisation of the record stream
 /// into complete snapshots, routed onto the snapshot edge by time.
-/// `metrics`/`tracker`/`counters` record snapshot ingest (they live with
-/// the assembler, i.e. on the coordinator).
+/// Each snapshot's ingest goes into `ledger` (which lives with the
+/// assembler, i.e. on the coordinator).
 void RunAssemblerSubtask(const StageEnv& env,
                          flow::Channel<flow::Element<GpsRecord>>& input,
                          flow::Transport<Snapshot>& out,
-                         flow::SnapshotMetrics* metrics,
-                         CompletionTracker* tracker,
-                         PipelineCounters* counters,
+                         flow::SnapshotLedger& ledger,
                          flow::StageStats* assembler_stats);
 
 /// Clustering subtask `worker`: indexed clustering per snapshot (§5.3),

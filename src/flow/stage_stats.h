@@ -18,11 +18,10 @@
 #include "common/types.h"
 
 /// \file
-/// Pipeline observability: lock-cheap per-stage counters and a fixed-bucket
-/// log-scale latency histogram. Every inter-stage Exchange can be tagged
-/// with a StageStats, which its Channels update on the hot path with a
-/// handful of relaxed atomic increments - and not at all when stats are
-/// disabled (null pointer). This mirrors the per-operator metrics Flink
+/// Pipeline observability: lock-cheap per-stage counters. Every
+/// inter-stage Exchange can be tagged with a StageStats, which its Channels
+/// update on the hot path with a handful of relaxed atomic increments - and
+/// not at all when stats are disabled (null pointer). This mirrors the per-operator metrics Flink
 /// deployments lean on to localise backpressure: who is blocked pushing
 /// (slow consumer downstream), who is blocked popping (starved by a slow
 /// producer upstream), and how deep the queues run.
@@ -30,15 +29,6 @@
 namespace comove::flow {
 
 namespace internal {
-
-inline void AtomicMaxU64(std::atomic<std::uint64_t>& target,
-                         std::uint64_t value) {
-  std::uint64_t cur = target.load(std::memory_order_relaxed);
-  while (cur < value &&
-         !target.compare_exchange_weak(cur, value,
-                                       std::memory_order_relaxed)) {
-  }
-}
 
 inline void AtomicMaxI64(std::atomic<std::int64_t>& target,
                          std::int64_t value) {
@@ -50,118 +40,6 @@ inline void AtomicMaxI64(std::atomic<std::int64_t>& target,
 }
 
 }  // namespace internal
-
-/// Thread-safe fixed-bucket latency histogram over nanosecond samples.
-/// Buckets are log-scale with 4 sub-buckets per power of two (values
-/// 0..15 ns get exact buckets); Record costs four relaxed atomic ops and
-/// the footprint stays a fixed 2 KiB. Percentile reads interpolate
-/// linearly by rank within the target bucket, which cuts the raw
-/// one-sub-bucket quantisation (~12.5% relative worst case) to a few
-/// percent on smooth distributions - metrics_test pins <= 3% on uniform
-/// and exponential samples. Reads are exact snapshots once writers have
-/// quiesced (the normal case: Collect after the pipeline drains) and a
-/// close approximation while they run.
-class LatencyHistogram {
- public:
-  static constexpr std::size_t kBucketCount = 256;
-
-  void RecordNs(std::uint64_t ns) {
-    buckets_[BucketIndex(ns)].fetch_add(1, std::memory_order_relaxed);
-    sum_ns_.fetch_add(ns, std::memory_order_relaxed);
-    internal::AtomicMaxU64(max_ns_, ns);
-  }
-
-  void RecordMs(double ms) {
-    RecordNs(ms <= 0.0 ? 0 : static_cast<std::uint64_t>(ms * 1e6));
-  }
-
-  std::int64_t count() const {
-    std::int64_t total = 0;
-    for (const auto& b : buckets_) {
-      total += static_cast<std::int64_t>(b.load(std::memory_order_relaxed));
-    }
-    return total;
-  }
-
-  double AverageMs() const {
-    const std::int64_t n = count();
-    if (n == 0) return 0.0;
-    return static_cast<double>(sum_ns_.load(std::memory_order_relaxed)) /
-           static_cast<double>(n) / 1e6;
-  }
-
-  double MaxMs() const {
-    return static_cast<double>(max_ns_.load(std::memory_order_relaxed)) /
-           1e6;
-  }
-
-  /// Estimated latency at quantile `q` in [0, 1] (0.5 = median), in
-  /// milliseconds; 0 when the histogram is empty.
-  double PercentileMs(double q) const {
-    std::array<std::uint64_t, kBucketCount> counts;
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < kBucketCount; ++i) {
-      counts[i] = buckets_[i].load(std::memory_order_relaxed);
-      total += counts[i];
-    }
-    if (total == 0) return 0.0;
-    if (q < 0.0) q = 0.0;
-    if (q > 1.0) q = 1.0;
-    // Rank of the target sample, 1-based.
-    std::uint64_t target = static_cast<std::uint64_t>(
-        q * static_cast<double>(total) + 0.5);
-    if (target < 1) target = 1;
-    if (target > total) target = total;
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < kBucketCount; ++i) {
-      if (counts[i] == 0) continue;
-      if (cumulative + counts[i] >= target) {
-        // Interpolate linearly by rank inside the bucket; clamp to the
-        // observed maximum so the estimate never exceeds a real sample.
-        const double fraction =
-            static_cast<double>(target - cumulative) /
-            static_cast<double>(counts[i]);
-        const double ns = static_cast<double>(BucketLowerNs(i)) +
-                          fraction * static_cast<double>(BucketWidthNs(i));
-        const double ms = ns / 1e6;
-        const double max_ms = MaxMs();
-        return ms < max_ms ? ms : max_ms;
-      }
-      cumulative += counts[i];
-    }
-    return MaxMs();  // unreachable, but keeps the compiler satisfied
-  }
-
-  /// Bucket of nanosecond value `v`: exact for v < 16, then 4 log-spaced
-  /// sub-buckets per power of two up to 2^64.
-  static std::size_t BucketIndex(std::uint64_t v) {
-    if (v < 16) return static_cast<std::size_t>(v);
-    const int exp = std::bit_width(v) - 1;  // 4..63
-    const std::size_t sub =
-        static_cast<std::size_t>((v >> (exp - 2)) & 3u);
-    return 16 + static_cast<std::size_t>(exp - 4) * 4 + sub;
-  }
-
-  /// Smallest nanosecond value mapped to bucket `i`.
-  static std::uint64_t BucketLowerNs(std::size_t i) {
-    if (i < 16) return i;
-    const int exp = 4 + static_cast<int>((i - 16) / 4);
-    const std::uint64_t sub = (i - 16) % 4;
-    return (std::uint64_t{1} << exp) + sub * (std::uint64_t{1} << (exp - 2));
-  }
-
-  /// Width of bucket `i` in nanoseconds (1 for the exact buckets).
-  static std::uint64_t BucketWidthNs(std::size_t i) {
-    if (i < 16) return 1;
-    const int exp = 4 + static_cast<int>((i - 16) / 4);
-    return std::uint64_t{1} << (exp - 2);
-  }
-
- private:
-  std::array<std::atomic<std::uint64_t>, kBucketCount> buckets_{};
-  std::atomic<std::uint64_t> sum_ns_{0};
-  std::atomic<std::uint64_t> max_ns_{0};
-};
 
 /// Number of power-of-two batch-size buckets tracked per stage: bucket i
 /// counts batches of size [2^i, 2^(i+1)), the last bucket is open-ended.

@@ -92,23 +92,8 @@ TEST(Rect, UpperRangeRegionMatchesLemma1) {
   EXPECT_EQ(r, (Rect{3, 5, 7, 7}));
 }
 
-TEST(Rect, OverlapArea) {
-  const Rect a{0, 0, 4, 4};
-  EXPECT_DOUBLE_EQ(a.OverlapArea(Rect{2, 2, 6, 6}), 4.0);
-  EXPECT_DOUBLE_EQ(a.OverlapArea(Rect{4, 4, 6, 6}), 0.0);  // touching
-  EXPECT_DOUBLE_EQ(a.OverlapArea(Rect{5, 5, 6, 6}), 0.0);  // disjoint
-  EXPECT_DOUBLE_EQ(a.OverlapArea(Rect{1, 1, 2, 2}), 1.0);  // contained
-}
-
-TEST(Rect, EnlargedArea) {
-  const Rect a{0, 0, 2, 2};
-  EXPECT_DOUBLE_EQ(a.EnlargedArea(Rect{3, 3, 4, 4}), 16.0);
-  EXPECT_DOUBLE_EQ(a.EnlargedArea(Rect{1, 1, 2, 2}), 4.0);
-}
-
-TEST(Rect, PerimeterAndCenter) {
+TEST(Rect, Center) {
   const Rect r{0, 0, 4, 2};
-  EXPECT_DOUBLE_EQ(r.Perimeter(), 12.0);
   EXPECT_EQ(r.Center(), (Point{2, 1}));
 }
 

@@ -15,77 +15,6 @@
 namespace comove::flow {
 namespace {
 
-TEST(LatencyHistogram, EmptyReportsZeros) {
-  LatencyHistogram h;
-  EXPECT_EQ(h.count(), 0);
-  EXPECT_DOUBLE_EQ(h.AverageMs(), 0.0);
-  EXPECT_DOUBLE_EQ(h.MaxMs(), 0.0);
-  EXPECT_DOUBLE_EQ(h.PercentileMs(0.5), 0.0);
-}
-
-TEST(LatencyHistogram, BucketIndexIsMonotoneAndBoundsConsistent) {
-  std::size_t last = 0;
-  for (std::uint64_t v :
-       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{15},
-        std::uint64_t{16}, std::uint64_t{17}, std::uint64_t{100},
-        std::uint64_t{1000}, std::uint64_t{1} << 20,
-        (std::uint64_t{1} << 20) + 12345, std::uint64_t{1} << 40,
-        ~std::uint64_t{0}}) {
-    const std::size_t i = LatencyHistogram::BucketIndex(v);
-    ASSERT_LT(i, LatencyHistogram::kBucketCount);
-    EXPECT_GE(i, last);
-    last = i;
-    // The value must lie inside its bucket's [lower, lower + width) range.
-    const std::uint64_t lower = LatencyHistogram::BucketLowerNs(i);
-    EXPECT_GE(v, lower);
-    if (i + 1 < LatencyHistogram::kBucketCount) {
-      EXPECT_LT(v, LatencyHistogram::BucketLowerNs(i + 1));
-      EXPECT_EQ(lower + LatencyHistogram::BucketWidthNs(i),
-                LatencyHistogram::BucketLowerNs(i + 1));
-    }
-  }
-}
-
-TEST(LatencyHistogram, PercentilesOfUniformSamplesAreAccurate) {
-  LatencyHistogram h;
-  // 1..1000 ms uniformly: true p50 = 500 ms, p95 = 950 ms, p99 = 990 ms.
-  for (int ms = 1; ms <= 1000; ++ms) h.RecordMs(static_cast<double>(ms));
-  EXPECT_EQ(h.count(), 1000);
-  EXPECT_NEAR(h.AverageMs(), 500.5, 1.0);
-  EXPECT_NEAR(h.MaxMs(), 1000.0, 1e-6);
-  // Within-bucket interpolation holds smooth distributions to a few
-  // percent (metrics_test pins the bound; raw buckets would be ~12.5%).
-  EXPECT_NEAR(h.PercentileMs(0.50), 500.0, 500.0 * 0.03);
-  EXPECT_NEAR(h.PercentileMs(0.95), 950.0, 950.0 * 0.03);
-  EXPECT_NEAR(h.PercentileMs(0.99), 990.0, 990.0 * 0.03);
-  // Quantiles are monotone in q.
-  EXPECT_LE(h.PercentileMs(0.50), h.PercentileMs(0.95));
-  EXPECT_LE(h.PercentileMs(0.95), h.PercentileMs(0.99));
-  EXPECT_LE(h.PercentileMs(0.99), h.MaxMs());
-}
-
-TEST(LatencyHistogram, SmallNanosecondValuesAreExact) {
-  LatencyHistogram h;
-  for (std::uint64_t ns = 0; ns < 16; ++ns) h.RecordNs(ns);
-  // p50 over 0..15 lands on rank 8 -> value 7 ns, exact bucket.
-  EXPECT_NEAR(h.PercentileMs(0.5), 7e-6, 2e-6);
-  EXPECT_NEAR(h.MaxMs(), 15e-6, 1e-9);
-}
-
-TEST(LatencyHistogram, ConcurrentRecordsAreSafe) {
-  LatencyHistogram h;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&h] {
-      for (int i = 1; i <= 10000; ++i) {
-        h.RecordNs(static_cast<std::uint64_t>(i));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(h.count(), 40000);
-}
-
 TEST(StageStats, CountsDepthAndSplitsWatermarks) {
   StageStats stats("test-stage");
   Channel<Element<int>> ch(8, &stats);
